@@ -91,6 +91,11 @@ CopyingCollector::collect(GcContext &ctx, GcStats &stats)
         return it == fwd.end() ? 0 : seg::kHeap + it->second;
     });
 
+    // The bump path relies on the arena being zero past the cursor,
+    // and this space becomes the allocation window two flips from now:
+    // clear what was evacuated, memory and ref bits both.
+    heap.clearRange(heap.windowBase(),
+                    heap.windowCursor() - heap.windowBase());
     heap.resetWindow(toBase, toCursor, spaceLimit(to));
     active_ = to;
 

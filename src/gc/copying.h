@@ -4,10 +4,11 @@
  *
  * The arena is split in half; the mutator bump-allocates in one space
  * and each collection evacuates survivors contiguously into the other,
- * then flips the heap's allocation window. Forwarding is kept in a
- * C++-side map (from-offset -> to-offset) so object lockwords — which
- * carry live thin-lock state — move with the object bytes instead of
- * being clobbered by forwarding pointers.
+ * then clears the evacuated from-space (the heap's bump path expects
+ * zero past the cursor) and flips the heap's allocation window.
+ * Forwarding is kept in a C++-side map (from-offset -> to-offset) so
+ * object lockwords — which carry live thin-lock state — move with the
+ * object bytes instead of being clobbered by forwarding pointers.
  *
  * Addresses change on every collection, so raw arena hashes are
  * meaningless here; equivalence with the other collectors is

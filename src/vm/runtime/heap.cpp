@@ -1,8 +1,41 @@
 #include "vm/runtime/heap.h"
 
+#include <sys/mman.h>
+
 #include <cstring>
+#include <new>
 
 namespace jrs {
+
+/**
+ * An anonymous private mapping, unmapped on destruction. The kernel
+ * hands out its pages zero-filled on first touch, so mapping the full
+ * arena commits nothing up front. (calloc would skip its memset only
+ * for fresh mmap'd chunks, which glibc decides by size and a dynamic
+ * threshold; mapping directly makes lazy commit unconditional.)
+ */
+class Heap::Mapping {
+  public:
+    explicit Mapping(std::size_t bytes) : bytes_(bytes)
+    {
+        void *p = ::mmap(nullptr, bytes, PROT_READ | PROT_WRITE,
+                         MAP_PRIVATE | MAP_ANONYMOUS | MAP_NORESERVE,
+                         -1, 0);
+        if (p == MAP_FAILED)
+            throw std::bad_alloc();
+        data_ = static_cast<std::uint8_t *>(p);
+    }
+    ~Mapping() { ::munmap(data_, bytes_); }
+
+    Mapping(const Mapping &) = delete;
+    Mapping &operator=(const Mapping &) = delete;
+
+    std::uint8_t *data() const { return data_; }
+
+  private:
+    std::uint8_t *data_ = nullptr;
+    std::size_t bytes_;
+};
 
 namespace {
 
@@ -21,20 +54,40 @@ makeHeader(ClassId cls, bool is_array, ArrayKind kind)
     return h;
 }
 
+/** Arena bytes rounded up so the ref bitmap after them is 8-aligned. */
+std::size_t
+bitmapOffset(std::size_t capacity_bytes)
+{
+    return (capacity_bytes + 7) & ~std::size_t{7};
+}
+
+std::size_t
+bitmapBytes(std::size_t capacity_bytes)
+{
+    return ((capacity_bytes / 4 + 63) / 64 + 1) * sizeof(std::uint64_t);
+}
+
 } // namespace
 
 Heap::Heap(std::size_t capacity_bytes)
-    : storage_(capacity_bytes, 0),
-      refBits_((capacity_bytes / 4 + 63) / 64 + 1, 0),
+    : capacity_(capacity_bytes),
+      mapping_(std::make_unique<Mapping>(bitmapOffset(capacity_bytes)
+                                         + bitmapBytes(capacity_bytes))),
+      storage_(mapping_->data()),
+      refBits_(reinterpret_cast<std::uint64_t *>(
+          mapping_->data() + bitmapOffset(capacity_bytes))),
       cursor_(16),  // offset 0 reserved so a null ref is never valid
       allocLimit_(capacity_bytes)
 {
 }
 
+Heap::~Heap() = default;
+
 std::size_t
-Heap::offsetOf(SimAddr addr) const
+Heap::offsetOf(SimAddr addr, std::size_t width) const
 {
-    if (addr < seg::kHeap || addr - seg::kHeap >= storage_.size())
+    if (addr < seg::kHeap || addr - seg::kHeap >= capacity_
+        || capacity_ - (addr - seg::kHeap) < width)
         throw VmError("heap access out of range");
     return static_cast<std::size_t>(addr - seg::kHeap);
 }
@@ -112,14 +165,14 @@ std::uint32_t
 Heap::loadU32(SimAddr addr) const
 {
     std::uint32_t v;
-    std::memcpy(&v, &storage_[offsetOf(addr)], sizeof(v));
+    std::memcpy(&v, &storage_[offsetOf(addr, sizeof(v))], sizeof(v));
     return v;
 }
 
 void
 Heap::storeU32(SimAddr addr, std::uint32_t v)
 {
-    const std::size_t off = offsetOf(addr);
+    const std::size_t off = offsetOf(addr, sizeof(v));
     std::memcpy(&storage_[off], &v, sizeof(v));
     setRefBit(off, false);
 }
@@ -128,14 +181,14 @@ std::uint16_t
 Heap::loadU16(SimAddr addr) const
 {
     std::uint16_t v;
-    std::memcpy(&v, &storage_[offsetOf(addr)], sizeof(v));
+    std::memcpy(&v, &storage_[offsetOf(addr, sizeof(v))], sizeof(v));
     return v;
 }
 
 void
 Heap::storeU16(SimAddr addr, std::uint16_t v)
 {
-    const std::size_t off = offsetOf(addr);
+    const std::size_t off = offsetOf(addr, sizeof(v));
     std::memcpy(&storage_[off], &v, sizeof(v));
     setRefBit(off, false);
 }
@@ -143,13 +196,13 @@ Heap::storeU16(SimAddr addr, std::uint16_t v)
 std::uint8_t
 Heap::loadU8(SimAddr addr) const
 {
-    return storage_[offsetOf(addr)];
+    return storage_[offsetOf(addr, 1)];
 }
 
 void
 Heap::storeU8(SimAddr addr, std::uint8_t v)
 {
-    const std::size_t off = offsetOf(addr);
+    const std::size_t off = offsetOf(addr, 1);
     storage_[off] = v;
     setRefBit(off, false);
 }
@@ -206,9 +259,25 @@ Heap::contentHash() const
 void
 Heap::clearRange(std::size_t off, std::size_t bytes)
 {
+    if (bytes == 0)
+        return;
     std::memset(&storage_[off], 0, bytes);
-    for (std::size_t o = off; o < off + bytes; o += 4)
-        setRefBit(o, false);
+    // Words [first, last] overlap the range; mask the edge bitmap
+    // words and zero the ones in between whole.
+    const std::size_t first = off >> 2;
+    const std::size_t last = (off + bytes - 1) >> 2;
+    const std::uint64_t lo = ~std::uint64_t{0} << (first & 63);
+    const std::uint64_t hi = ~std::uint64_t{0} >> (63 - (last & 63));
+    const std::size_t fw = first >> 6;
+    const std::size_t lw = last >> 6;
+    if (fw == lw) {
+        refBits_[fw] &= ~(lo & hi);
+        return;
+    }
+    refBits_[fw] &= ~lo;
+    std::memset(&refBits_[fw + 1], 0,
+                (lw - fw - 1) * sizeof(std::uint64_t));
+    refBits_[lw] &= ~hi;
 }
 
 void
@@ -241,7 +310,7 @@ Heap::resetWindow(std::size_t base, std::size_t cursor,
                   std::size_t limit)
 {
     if (base < 16 || cursor < base || limit < cursor
-        || limit > storage_.size())
+        || limit > capacity_)
         throw VmError("bad heap allocation window");
     allocBase_ = base;
     cursor_ = cursor;

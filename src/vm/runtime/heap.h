@@ -23,11 +23,22 @@
  *    linear sweep can always parse the arena;
  *  - an allocation window for the semispace copying collector (each
  *    space is half the arena; resetWindow() flips them).
+ *
+ * The arena and its ref bitmap are one anonymous private mapping,
+ * committed lazily: the host backs a page only when a run first
+ * touches it, so a fresh engine costs a few pages, not the full
+ * capacity. That makes one invariant load-bearing: every byte past
+ * the allocation cursor is zero and its word's ref bit is clear. The
+ * bump path hands out memory past the cursor without clearing it, so
+ * whoever moves the cursor back over used memory clears it first —
+ * the free list is zeroed in setFreeBlocks(), and the copying
+ * collector clears the from-space it evacuated before each flip.
  */
 #ifndef JRS_VM_RUNTIME_HEAP_H
 #define JRS_VM_RUNTIME_HEAP_H
 
 #include <cstdint>
+#include <memory>
 #include <vector>
 
 #include "isa/address_map.h"
@@ -60,6 +71,7 @@ class Heap {
   public:
     /** @param capacity_bytes Arena capacity (default 64 MiB). */
     explicit Heap(std::size_t capacity_bytes = kDefaultHeapBytes);
+    ~Heap();
 
     // --- allocation ----------------------------------------------------
 
@@ -81,12 +93,14 @@ class Heap {
     std::uint64_t allocationCount() const { return allocCount_; }
 
     /** Arena capacity in bytes. */
-    std::size_t capacity() const { return storage_.size(); }
+    std::size_t capacity() const { return capacity_; }
 
     /** True when an allocation of @p bytes would succeed right now. */
     bool canAllocate(std::size_t bytes) const;
 
     // --- raw access (callers emit the trace events) ---------------------
+    // Every access must lie wholly inside the arena; one that does not
+    // throws VmError("heap access out of range").
 
     std::uint32_t loadU32(SimAddr addr) const;
     void storeU32(SimAddr addr, std::uint32_t v);
@@ -104,12 +118,12 @@ class Heap {
      */
     void storeSlot(SimAddr addr, std::uint32_t bits, bool is_ref) {
         storeU32(addr, bits);
-        setRefBit(offsetOf(addr), is_ref);
+        setRefBit(offsetOf(addr, 4), is_ref);
     }
 
     /** True when the 4-byte slot at @p addr last held a reference. */
     bool refSlot(SimAddr addr) const {
-        return refBitAt(offsetOf(addr));
+        return refBitAt(offsetOf(addr, 4));
     }
 
     // --- object helpers -------------------------------------------------
@@ -220,16 +234,24 @@ class Heap {
             refBits_[w >> 6] &= ~mask;
     }
 
-    /** Zero @p bytes of memory and ref bits at arena offset @p off. */
+    /**
+     * Zero @p bytes of memory at arena offset @p off and clear the ref
+     * bit of every word the range overlaps; bits of other words stay.
+     */
     void clearRange(std::size_t off, std::size_t bytes);
 
   private:
-    std::size_t offsetOf(SimAddr addr) const;
+    class Mapping;  // anonymous zero-on-demand memory (heap.cpp)
+
+    /** Arena offset of a @p width-byte access at @p addr. */
+    std::size_t offsetOf(SimAddr addr, std::size_t width) const;
     SimAddr bump(std::size_t bytes);
     void writeFiller(std::size_t off, std::size_t size);
 
-    std::vector<std::uint8_t> storage_;
-    std::vector<std::uint64_t> refBits_;
+    std::size_t capacity_;
+    std::unique_ptr<Mapping> mapping_;
+    std::uint8_t *storage_;     ///< capacity_ bytes, in mapping_
+    std::uint64_t *refBits_;    ///< one bit per 4-byte word, in mapping_
     std::size_t cursor_;
     std::size_t allocBase_ = 16;
     std::size_t allocLimit_;

@@ -14,9 +14,16 @@
  *    GC-less design: same instruction stream, same raw heap hash,
  *    zero Phase::Gc events;
  *  - collector pauses are bracketed in Call...Ret at kGcPc, which is
- *    what the sweep grid's pause accounting relies on.
+ *    what the sweep grid's pause accounting relies on;
+ *  - the arena commits lazily and stays zero past the allocation
+ *    cursor, so a fresh object never inherits a dead object's fields
+ *    or ref bits, under either collector and in either mode.
  */
+#include <sys/resource.h>
+
 #include <gtest/gtest.h>
+
+#include <tuple>
 
 #include "check/differential.h"
 #include "check/digest.h"
@@ -205,6 +212,47 @@ monitorProgram()
         m.aload(1).monitorEnter();
         m.aload(1).getFieldI("Node.val").istore(5);
         m.aload(1).monitorExit();
+        m.iload(5).ireturn();
+    });
+}
+
+/**
+ * `arg` garbage nodes, each with val = 77 and a self reference in
+ * next, then the sum of val over `arg` fresh nodes. Fresh objects are
+ * zeroed, so the sum is 0 whatever memory the allocator recycles.
+ */
+Program
+staleFieldProgram()
+{
+    return makeProgramFull([](ProgramBuilder &pb) {
+        declareNode(pb);
+        ClassBuilder &t = pb.cls("T");
+        MethodBuilder &m =
+            t.staticMethod("main", {VType::Int}, VType::Int);
+        m.locals(6);
+        const Label fill = m.newLabel();
+        const Label filled = m.newLabel();
+        m.iconst(0).istore(4);
+        m.bind(fill);
+        m.iload(4).iload(0).ifIcmpge(filled);
+        m.newObject("Node").astore(1);
+        m.aload(1).iconst(77).putFieldI("Node.val");
+        m.aload(1).aload(1).putFieldA("Node.next");
+        m.iinc(4, 1);
+        m.gotoL(fill);
+        m.bind(filled);
+
+        const Label sum = m.newLabel();
+        const Label done = m.newLabel();
+        m.iconst(0).istore(5);
+        m.iconst(0).istore(4);
+        m.bind(sum);
+        m.iload(4).iload(0).ifIcmpge(done);
+        m.iload(5).newObject("Node").getFieldI("Node.val").iadd()
+            .istore(5);
+        m.iinc(4, 1);
+        m.gotoL(sum);
+        m.bind(done);
         m.iload(5).ireturn();
     });
 }
@@ -538,6 +586,107 @@ TEST(Trace, GcEventsBracketedPerCollection)
     for (const std::uint64_t p : stats.pauseEvents)
         pauseSum += p;
     EXPECT_EQ(pauseSum, stats.gcEvents);
+}
+
+// --- arena ------------------------------------------------------------------
+
+/**
+ * A collector that recycles memory must hand it back zeroed: the bump
+ * path allocates past the cursor without clearing, so a semispace flip
+ * that left the old from-space dirty would give fresh objects the
+ * fields (and ref bits) of objects that died two collections earlier.
+ */
+class FreshMemory
+    : public testing::TestWithParam<std::tuple<gc::CollectorKind, bool>> {
+};
+
+TEST_P(FreshMemory, NewObjectsSeeNoStaleFieldsOrRefBits)
+{
+    const auto [kind, jit] = GetParam();
+    EngineConfig cfg = interpConfig(forcedGc(kind, 8));
+    if (jit)
+        cfg.policy = std::make_shared<AlwaysCompilePolicy>();
+    const Program prog = staleFieldProgram();
+    GcRun run = runGc(prog, cfg, 200);
+    ASSERT_TRUE(run.result.completed);
+    EXPECT_GT(run.result.gcStats.collections, 2u);
+    EXPECT_EQ(run.result.exitValue, 0);
+
+    // Collect once more, then allocate straight from the heap.
+    Heap &heap = run.engine->heap();
+    run.engine->gcController()->collectNow();
+    for (int i = 0; i < 64; ++i) {
+        const SimAddr obj = heap.allocObject(1, 2);
+        for (std::uint16_t slot = 0; slot < 2; ++slot) {
+            const SimAddr addr = Heap::fieldAddr(obj, slot);
+            EXPECT_EQ(heap.loadU32(addr), 0u) << "object " << i;
+            EXPECT_FALSE(heap.refBitAt(addr - seg::kHeap))
+                << "object " << i;
+        }
+    }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Collectors, FreshMemory,
+    testing::Combine(testing::Values(gc::CollectorKind::MarkSweep,
+                                     gc::CollectorKind::Copying),
+                     testing::Bool()),
+    [](const testing::TestParamInfo<FreshMemory::ParamType> &info) {
+        return std::string(gc::collectorName(std::get<0>(info.param)))
+            + (std::get<1>(info.param) ? "_jit" : "_interp");
+    });
+
+/** A default-capacity heap commits only the pages a run touches. */
+TEST(Arena, FreshHeapCommitsLazily)
+{
+    rusage before{};
+    ASSERT_EQ(getrusage(RUSAGE_SELF, &before), 0);
+    Heap heap;
+    ASSERT_EQ(heap.capacity(), kDefaultHeapBytes);
+    for (int i = 0; i < 256; ++i)
+        heap.allocObject(1, 4);
+    rusage after{};
+    ASSERT_EQ(getrusage(RUSAGE_SELF, &after), 0);
+    // Zero-filling the arena and its bitmap up front faults ~17k pages.
+    EXPECT_LT(after.ru_minflt - before.ru_minflt, 1024);
+}
+
+/**
+ * clearRange zeroes exactly the requested bytes and clears the ref
+ * bit of every word they overlap, leaving neighbouring words' bits —
+ * in the same bitmap word or the next — as they were.
+ */
+TEST(Arena, ClearRangeKeepsNeighbouringRefBits)
+{
+    constexpr std::size_t kBytes = 4096;
+    struct Case {
+        std::size_t off;
+        std::size_t bytes;
+    };
+    for (const Case c : {Case{6, 500}, Case{130, 3}, Case{256, 512},
+                         Case{252, 8}, Case{255, 1}, Case{4, 0},
+                         Case{0, kBytes}, Case{1, kBytes - 2}}) {
+        Heap heap(kBytes);
+        for (std::size_t off = 0; off < kBytes; off += 4) {
+            heap.storeU32(seg::kHeap + off, 0xffffffffu);
+            heap.setRefBit(off, true);
+        }
+        heap.clearRange(c.off, c.bytes);
+        const std::size_t end = c.off + c.bytes;
+        for (std::size_t off = 0; off < kBytes; ++off) {
+            const bool cleared = off >= c.off && off < end;
+            ASSERT_EQ(heap.loadU8(seg::kHeap + off), cleared ? 0 : 0xff)
+                << "byte " << off << " of [" << c.off << ", " << end
+                << ")";
+        }
+        for (std::size_t word = 0; word < kBytes / 4; ++word) {
+            const bool overlaps =
+                word * 4 < end && word * 4 + 4 > c.off;
+            ASSERT_EQ(heap.refBitAt(word * 4), !overlaps)
+                << "word " << word << " of [" << c.off << ", " << end
+                << ")";
+        }
+    }
 }
 
 // --- configuration parsing -------------------------------------------------

@@ -138,6 +138,24 @@ TEST(Heap, OutOfRangeAccessThrows)
     EXPECT_THROW(h.loadU32(0x1000), VmError);
 }
 
+TEST(Heap, AccessWidthIsBoundsChecked)
+{
+    // Each access must fit wholly inside the arena, not just its
+    // first byte.
+    Heap h(64);
+    EXPECT_THROW(h.loadU32(seg::kHeap + 62), VmError);
+    EXPECT_THROW(h.storeU32(seg::kHeap + 61, 1), VmError);
+    EXPECT_THROW(h.loadU16(seg::kHeap + 63), VmError);
+    EXPECT_THROW(h.storeU16(seg::kHeap + 63, 1), VmError);
+    EXPECT_THROW(h.refSlot(seg::kHeap + 62), VmError);
+    EXPECT_THROW(h.loadU8(seg::kHeap + 64), VmError);
+    // The last whole slot of each width is still reachable.
+    h.storeU32(seg::kHeap + 60, 0x01020304u);
+    EXPECT_EQ(h.loadU32(seg::kHeap + 60), 0x01020304u);
+    EXPECT_EQ(h.loadU16(seg::kHeap + 62), 0x0102u);
+    EXPECT_EQ(h.loadU8(seg::kHeap + 63), 0x01u);
+}
+
 TEST(Heap, NullIsNeverValid)
 {
     Heap h(1 << 12);

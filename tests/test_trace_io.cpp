@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <unistd.h>
+
 #include <cstdio>
 
 #include "arch/cache/cache.h"
@@ -10,10 +12,16 @@
 namespace jrs {
 namespace {
 
-/** Temp path helper; removed at scope exit. */
+/**
+ * Temp path helper; removed at scope exit. The name carries the test
+ * name and pid, so tests run in parallel never share a file.
+ */
 struct TempFile {
-    TempFile() : path(std::string(::testing::TempDir())
-                      + "jrs_trace_test.bin") {}
+    TempFile()
+        : path(std::string(::testing::TempDir()) + "jrs_trace_"
+               + ::testing::UnitTest::GetInstance()
+                     ->current_test_info()->name()
+               + "_" + std::to_string(::getpid()) + ".bin") {}
     ~TempFile() { std::remove(path.c_str()); }
     std::string path;
 };
