@@ -373,6 +373,15 @@ struct InvariantCase {
     check::DiffMode mode;
 };
 
+// Without this gtest prints the raw bytes of the case, which include
+// the address of `workload` and the uninitialised padding after
+// `mode`, so the listed test names would differ from build to build.
+void
+PrintTo(const InvariantCase &c, std::ostream *os)
+{
+    *os << c.workload << '/' << check::diffModeName(c.mode);
+}
+
 std::string
 invariantCaseName(const testing::TestParamInfo<InvariantCase> &info)
 {
