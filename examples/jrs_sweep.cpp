@@ -54,9 +54,7 @@
 #include "obs/obs.h"
 #include "support/statistics.h"
 #include "sweep/grids.h"
-#include "sweep/cct_observer.h"
-#include "sweep/perf_observer.h"
-#include "sweep/sample_observer.h"
+#include "sweep/observers.h"
 
 using namespace jrs;
 
@@ -142,16 +140,8 @@ main(int argc, char **argv)
     cli.setup();
     if (progress)
         obs::setEnabled(true);
-    obs::PerfReportSet perfReports;
-    if (cli.perfRequested())
-        sweep::attachPerfObserver(opts, perfReports);
-    prof::CctReportSet cctReports;
-    if (cli.cctRequested())
-        sweep::attachCctObserver(opts, cctReports);
-    prof::SampleReportSet sampleReports;
-    if (cli.sampleRequested())
-        sweep::attachSampleObserver(opts, cli.sampleOptions(),
-                                    sampleReports);
+    sweep::ReportObservers reports;
+    reports.attach(opts, cli);
     if (progress) {
         // The counts come straight from the registry the sweep engine
         // publishes into (the same numbers --metrics-json snapshots).
@@ -267,8 +257,6 @@ main(int argc, char **argv)
         std::cout << "wrote " << jsonPath << '\n';
     }
     cli.finish(std::cout);
-    cli.writePerf(perfReports, std::cout);
-    cli.writeCct(cctReports, std::cout);
-    cli.writeSample(sampleReports, std::cout);
+    reports.write(cli, std::cout);
     return result.allOk() && comparisonOk ? 0 : 1;
 }

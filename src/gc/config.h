@@ -1,7 +1,7 @@
 /**
  * @file
  * Collector selection and tuning knobs, shared by EngineConfig, the
- * CLIs (jrs_gc / jrs_check / jrs_sweep) and the sweep TraceKey.
+ * CLIs (jrs / jrs_check / jrs_sweep) and the sweep TraceKey.
  *
  * Kept dependency-free so anything can name a collector without
  * pulling in the collector implementations.
@@ -37,7 +37,7 @@ collectorName(CollectorKind kind)
 /**
  * Parse a collector name ("nogc"/"none", "marksweep", "copying").
  * @return false on an unknown name (callers report a clean usage
- *         error — never a throw, see jrs_gc/jrs_check/jrs_sweep).
+ *         error — never a throw, see jrs/jrs_check/jrs_sweep).
  */
 inline bool
 parseCollector(const std::string &name, CollectorKind *out)

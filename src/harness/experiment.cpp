@@ -2,18 +2,21 @@
 
 namespace jrs {
 
-RunResult
-runWorkload(const RunSpec &spec)
+namespace {
+
+/** The engine configuration @p spec describes, observed by @p sink. */
+EngineConfig
+engineConfig(const RunSpec &spec, TraceSink *sink)
 {
     if (spec.workload == nullptr)
         throw VmError("RunSpec without workload");
-    const Program prog = spec.workload->build();
-
     EngineConfig cfg;
     cfg.policy = spec.policy ? spec.policy
                              : std::make_shared<AlwaysCompilePolicy>();
     cfg.syncKind = spec.syncKind;
-    cfg.sink = spec.sink;
+    cfg.jitInlining = spec.jitInlining;
+    cfg.interpreterFolding = spec.interpreterFolding;
+    cfg.sink = sink;
     cfg.quantum = spec.quantum;
     cfg.gc = spec.gc;
     cfg.heapBytes = spec.heapBytes;
@@ -21,11 +24,15 @@ runWorkload(const RunSpec &spec)
     cfg.osrBackEdgeThreshold = spec.osrBackEdgeThreshold;
     cfg.sharedCodeCache = spec.sharedCache;
     cfg.sharedProgramKey = spec.workload->name;
+    return cfg;
+}
 
-    ExecutionEngine engine(prog, cfg);
-    const std::int32_t arg =
-        spec.arg != 0 ? spec.arg : spec.workload->smallArg;
-    RunResult res = engine.run(arg);
+/** Run @p engine at @p spec's argument; throws unless it completes. */
+RunResult
+runCompleted(ExecutionEngine &engine, const RunSpec &spec)
+{
+    RunResult res = engine.run(spec.arg != 0 ? spec.arg
+                                             : spec.workload->smallArg);
     if (!res.completed) {
         throw VmError(std::string(spec.workload->name)
                       + " did not complete: "
@@ -36,45 +43,36 @@ runWorkload(const RunSpec &spec)
     return res;
 }
 
+} // namespace
+
+RunResult
+runWorkload(const RunSpec &spec, std::uint64_t *liveHeapHash)
+{
+    const EngineConfig cfg = engineConfig(spec, spec.sink);
+    const Program prog = spec.workload->build();
+    ExecutionEngine engine(prog, cfg);
+    RunResult res = runCompleted(engine, spec);
+    if (liveHeapHash != nullptr)
+        *liveHeapHash = engine.liveHeapHash();
+    return res;
+}
+
 RecordedRun
 recordWorkload(const RunSpec &spec)
 {
-    if (spec.workload == nullptr)
-        throw VmError("RunSpec without workload");
     auto buffer = std::make_shared<TraceBuffer>();
     MultiSink fanout;
     fanout.add(buffer.get());
     if (spec.sink != nullptr)
         fanout.add(spec.sink);
 
-    // Inlined runWorkload: the engine must stay alive after run() so
-    // the method map (registry + code cache ranges) can be captured.
+    // The engine must stay alive after run() so the method map
+    // (registry + code cache ranges) can be captured.
+    const EngineConfig cfg = engineConfig(spec, &fanout);
     const Program prog = spec.workload->build();
-    EngineConfig cfg;
-    cfg.policy = spec.policy ? spec.policy
-                             : std::make_shared<AlwaysCompilePolicy>();
-    cfg.syncKind = spec.syncKind;
-    cfg.sink = &fanout;
-    cfg.quantum = spec.quantum;
-    cfg.gc = spec.gc;
-    cfg.heapBytes = spec.heapBytes;
-    cfg.codeCache = spec.codeCache;
-    cfg.osrBackEdgeThreshold = spec.osrBackEdgeThreshold;
-    cfg.sharedCodeCache = spec.sharedCache;
-    cfg.sharedProgramKey = spec.workload->name;
     ExecutionEngine engine(prog, cfg);
-    const std::int32_t arg =
-        spec.arg != 0 ? spec.arg : spec.workload->smallArg;
-
     RecordedRun out;
-    out.result = engine.run(arg);
-    if (!out.result.completed) {
-        throw VmError(std::string(spec.workload->name)
-                      + " did not complete: "
-                      + (out.result.uncaughtException != nullptr
-                             ? out.result.uncaughtException
-                             : "unknown"));
-    }
+    out.result = runCompleted(engine, spec);
     out.trace = std::move(buffer);
     out.methods = std::make_shared<obs::MethodMap>(
         obs::MethodMap::forRun(engine.registry(), engine.codeCache()));
@@ -114,32 +112,19 @@ runOracleExperiment(const WorkloadInfo &w, std::int32_t arg,
                     TraceSink *oracle_sink)
 {
     OracleOutcome out;
-    {
-        RunSpec s;
-        s.workload = &w;
-        s.arg = arg;
-        s.policy = std::make_shared<NeverCompilePolicy>();
-        out.interpRun = runWorkload(s);
-    }
-    {
-        RunSpec s;
-        s.workload = &w;
-        s.arg = arg;
-        s.policy = std::make_shared<AlwaysCompilePolicy>();
-        out.jitRun = runWorkload(s);
-    }
+    ModePair profiling = runBothModes(w, arg, nullptr, nullptr);
+    out.interpRun = std::move(profiling.interp);
+    out.jitRun = std::move(profiling.jit);
     out.decisions = computeOracleDecisions(out.interpRun.profiles,
                                            out.jitRun.profiles);
     auto oracle = std::make_shared<OraclePolicy>(out.decisions);
     out.methodsCompiledByOracle = oracle->numCompiled();
-    {
-        RunSpec s;
-        s.workload = &w;
-        s.arg = arg;
-        s.policy = oracle;
-        s.sink = oracle_sink;
-        out.oracleRun = runWorkload(s);
-    }
+    RunSpec s;
+    s.workload = &w;
+    s.arg = arg;
+    s.policy = oracle;
+    s.sink = oracle_sink;
+    out.oracleRun = runWorkload(s);
     if (out.oracleRun.exitValue != out.jitRun.exitValue)
         throw VmError(std::string(w.name) + ": oracle run diverged");
     return out;

@@ -25,6 +25,8 @@ struct RunSpec {
     std::int32_t arg = 0;           ///< 0 = workload's smallArg
     std::shared_ptr<CompilationPolicy> policy;  ///< null = AlwaysCompile
     SyncKind syncKind = SyncKind::ThinLock;
+    bool jitInlining = false;         ///< EngineConfig::jitInlining
+    bool interpreterFolding = false;  ///< EngineConfig::interpreterFolding
     TraceSink *sink = nullptr;
     std::uint64_t quantum = 300;
     /** Collector configuration (default: the GC-less arena). */
@@ -46,9 +48,12 @@ struct RunSpec {
 /**
  * Build the workload's program, run it, and return the result.
  * Throws VmError when the run does not complete cleanly (benches and
- * tests should never tolerate a broken guest program).
+ * tests should never tolerate a broken guest program). When
+ * @p liveHeapHash is set it receives the finished run's
+ * reachable-heap digest (gc/live_digest.h).
  */
-RunResult runWorkload(const RunSpec &spec);
+RunResult runWorkload(const RunSpec &spec,
+                      std::uint64_t *liveHeapHash = nullptr);
 
 /**
  * One completed run captured for offline replay: the VM's RunResult

@@ -15,8 +15,8 @@
  *   --sample-seed N       PRNG seed for the jittered sample gaps
  *
  * ObsCli centralizes the parse / enable / write-on-exit steps so the
- * flag set stays consistent across jrs_sweep, jrs_profile, jrs_perf
- * and the sweep-engine bench ports. Inside the argv loop:
+ * flag set stays consistent across jrs, jrs_sweep and the
+ * sweep-engine bench ports. Inside the argv loop:
  *
  *   if (cli.tryParse(a, next))
  *       continue;
@@ -28,20 +28,41 @@
 #ifndef JRS_OBS_CLI_H
 #define JRS_OBS_CLI_H
 
+#include <charconv>
 #include <cstdlib>
 #include <iostream>
+#include <limits>
 #include <ostream>
 #include <string>
 
 #include "gc/config.h"
+#include "harness/experiment.h"
 #include "obs/obs.h"
 #include "obs/perf.h"
 #include "prof/cct.h"
 #include "prof/sampler.h"
+#include "sweep/trace_cache.h"
 #include "vm/jit/code_cache.h"
+#include "vm/jit/shared_cache.h"
 #include "vm/runtime/heap.h"
 
 namespace jrs::obs {
+
+/**
+ * Strict unsigned decimal: digits only — no sign, no whitespace, no
+ * trailing junk — and no wrap past 2^64-1. False leaves @p out alone.
+ */
+inline bool
+parseDecimal(const std::string &v, std::uint64_t *out)
+{
+    const char *last = v.data() + v.size();
+    std::uint64_t n = 0;
+    const auto [end, ec] = std::from_chars(v.data(), last, n);
+    if (ec != std::errc() || end != last)
+        return false;
+    *out = n;
+    return true;
+}
 
 /** See file comment. */
 struct ObsCli {
@@ -65,10 +86,8 @@ struct ObsCli {
     /** Parse a decimal count; exits 2 on anything else. */
     static std::uint64_t parseCount(const std::string &v,
                                     const char *what) {
-        char *end = nullptr;
-        const unsigned long long n =
-            std::strtoull(v.c_str(), &end, 10);
-        if (end == v.c_str() || *end != '\0') {
+        std::uint64_t n = 0;
+        if (!parseDecimal(v, &n)) {
             std::cerr << "error: " << what
                       << " expects a decimal count, got '" << v
                       << "'\n";
@@ -240,23 +259,20 @@ struct GcCli {
 
     /**
      * Parse "N", "Nk", "Nm" or "Ng" (binary multiples); exits 2 on
-     * anything else.
+     * anything else, including a sign and a size past SIZE_MAX.
      */
     static std::size_t parseSize(const std::string &v,
                                  const char *what) {
-        char *end = nullptr;
-        const unsigned long long n =
-            std::strtoull(v.c_str(), &end, 10);
-        std::size_t shift = 0;
-        if (end != v.c_str() && *end != '\0') {
-            switch (*end) {
-              case 'k': case 'K': shift = 10; ++end; break;
-              case 'm': case 'M': shift = 20; ++end; break;
-              case 'g': case 'G': shift = 30; ++end; break;
-              default: break;
-            }
+        unsigned shift = 0;
+        switch (v.empty() ? '\0' : v.back()) {
+          case 'k': case 'K': shift = 10; break;
+          case 'm': case 'M': shift = 20; break;
+          case 'g': case 'G': shift = 30; break;
+          default: break;
         }
-        if (end == v.c_str() || *end != '\0') {
+        std::uint64_t n = 0;
+        if (!parseDecimal(v.substr(0, v.size() - (shift != 0)), &n)
+            || n > (std::numeric_limits<std::size_t>::max() >> shift)) {
             std::cerr << "error: " << what
                       << " expects a byte count (optionally with a"
                          " k/m/g suffix), got '" << v << "'\n";
@@ -374,6 +390,153 @@ struct CodeCacheCli {
             return true;
         }
         return false;
+    }
+};
+
+/**
+ * Shared command-line plumbing for what to run: the run spec every
+ * `jrs` subcommand takes, in the same style as GcCli.
+ *
+ *   <workload>         positional; selects the WorkloadInfo
+ *   --mode M           interp | jit | counter:N | oracle
+ *   --arg N            workload argument (default: its smallArg)
+ *   --tiny             the workload's tinyArg instead
+ *   --sync S           thin | monitor-cache | one-bit
+ *   --inline           JIT inlining/devirtualization
+ *   --fold             interpreter dispatch folding
+ *   ...                every GcCli and CodeCacheCli flag
+ *
+ * interp, jit and counter:N are sweep::ExecMode, so a mode means the
+ * same policy here as in every sweep grid. oracle is the paper's
+ * Section 3 procedure: an interpreted and a compile-everything
+ * profiling run (default configuration, same argument) pick the
+ * per-method decisions the measured run uses. Malformed values print
+ * a message and exit 2, matching the GcCli error contract.
+ */
+struct RunCli {
+    const WorkloadInfo *workload;
+    std::int32_t arg;
+    std::string mode = "jit";   ///< as spelled; names the run in labels
+    sweep::ExecMode exec;       ///< the policy when mode is not oracle
+    SyncKind sync = SyncKind::ThinLock;
+    bool inlining = false;
+    bool folding = false;
+    GcCli gc;
+    CodeCacheCli codeCache;
+
+    explicit RunCli(const WorkloadInfo &w)
+        : workload(&w), arg(w.smallArg) {}
+
+    /** Usage-string fragment for the flags handled here. */
+    static std::string usageText() {
+        return std::string(
+                   " [--mode interp|jit|counter:N|oracle] [--arg N]"
+                   " [--tiny] [--sync thin|monitor-cache|one-bit]"
+                   " [--inline] [--fold]")
+            + GcCli::usageText() + CodeCacheCli::usageText();
+    }
+
+    /** Select mode @p m; false (nothing changed) when it names none. */
+    bool setMode(const std::string &m) {
+        std::uint64_t n = 0;
+        if (m == "interp")
+            exec = sweep::ExecMode::interp();
+        else if (m == "jit")
+            exec = sweep::ExecMode::jit();
+        else if (m.rfind("counter:", 0) == 0
+                 && parseDecimal(m.substr(8), &n))
+            exec = sweep::ExecMode::counter(n);
+        else if (m != "oracle")
+            return false;
+        mode = m;
+        return true;
+    }
+
+    /** "workload/mode", plus "/collector" when one is selected. */
+    std::string label() const {
+        std::string s = std::string(workload->name) + "/" + mode;
+        if (gc.enabled())
+            s += std::string("/") + gc::collectorName(gc.gc.collector);
+        return s;
+    }
+
+    /**
+     * Consume @p a when it is one of the flags above; same contract
+     * as ObsCli::tryParse.
+     */
+    template <class NextFn>
+    bool tryParse(const std::string &a, NextFn &&next) {
+        if (a == "--mode") {
+            const std::string v = next();
+            if (!setMode(v)) {
+                std::cerr << "error: unknown --mode '" << v
+                          << "' (expect interp, jit, counter:N or "
+                             "oracle)\n";
+                std::exit(2);
+            }
+        } else if (a == "--arg") {
+            const std::string v = next();
+            std::uint64_t n = 0;
+            if (!parseDecimal(v, &n) || n == 0
+                || n > static_cast<std::uint64_t>(
+                       std::numeric_limits<std::int32_t>::max())) {
+                std::cerr << "error: --arg expects a positive 32-bit"
+                             " decimal count, got '" << v << "'\n";
+                std::exit(2);
+            }
+            arg = static_cast<std::int32_t>(n);
+        } else if (a == "--tiny") {
+            arg = workload->tinyArg;
+        } else if (a == "--sync") {
+            const std::string v = next();
+            if (v == "thin") {
+                sync = SyncKind::ThinLock;
+            } else if (v == "monitor-cache") {
+                sync = SyncKind::MonitorCache;
+            } else if (v == "one-bit") {
+                sync = SyncKind::OneBitLock;
+            } else {
+                std::cerr << "error: unknown --sync '" << v
+                          << "' (expect thin, monitor-cache or "
+                             "one-bit)\n";
+                std::exit(2);
+            }
+        } else if (a == "--inline") {
+            inlining = true;
+        } else if (a == "--fold") {
+            folding = true;
+        } else {
+            return gc.tryParse(a, next) || codeCache.tryParse(a, next);
+        }
+        return true;
+    }
+
+    /**
+     * The harness RunSpec the flags describe. Runs the two profiling
+     * runs first under --mode oracle; a shared code cache is fresh per
+     * call.
+     */
+    RunSpec spec() const {
+        RunSpec s;
+        s.workload = workload;
+        s.arg = arg;
+        if (mode == "oracle") {
+            const ModePair runs =
+                runBothModes(*workload, arg, nullptr, nullptr);
+            s.policy = std::make_shared<OraclePolicy>(
+                computeOracleDecisions(runs.interp.profiles,
+                                       runs.jit.profiles));
+        } else {
+            s.policy = exec.makePolicy();
+        }
+        s.syncKind = sync;
+        s.jitInlining = inlining;
+        s.interpreterFolding = folding;
+        gc.apply(s);
+        codeCache.apply(s);
+        if (codeCache.sharedCodeCache)
+            s.sharedCache = std::make_shared<SharedCodeCache>();
+        return s;
     }
 };
 

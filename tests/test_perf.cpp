@@ -29,7 +29,7 @@
 #include "harness/experiment.h"
 #include "isa/trace_buffer.h"
 #include "obs/perf.h"
-#include "sweep/perf_observer.h"
+#include "sweep/observers.h"
 #include "sweep/sweep.h"
 #include "vm/engine/policy.h"
 #include "workloads/workload.h"
@@ -306,9 +306,13 @@ TEST(Perf, SweepGroupObserverKeepsMetricsBitIdentical)
     sweep::SweepEngine plain((sweep::SweepOptions()));
     const sweep::SweepResult without = plain.run(buildGrid());
 
-    obs::PerfReportSet reports;
+    // All three report observers at once: the perf, CCT and sample
+    // sinks chain through two ObserverPair levels.
+    obs::ObsCli cli;
+    cli.perfJson = cli.cctJson = cli.sampleJson = "unused.json";
+    sweep::ReportObservers reports;
     sweep::SweepOptions opts;
-    sweep::attachPerfObserver(opts, reports);
+    reports.attach(opts, cli);
     sweep::SweepEngine observing(opts);
     const sweep::SweepResult with = observing.run(buildGrid());
 
@@ -321,10 +325,12 @@ TEST(Perf, SweepGroupObserverKeepsMetricsBitIdentical)
         EXPECT_EQ(with.points[i].metric("ipc"),
                   without.points[i].metric("ipc"));
     }
-    // One trace group -> one collected report, and its JSON carries
-    // the stable schema.
-    EXPECT_EQ(reports.size(), 1u);
-    EXPECT_NE(reports.toJson().find("\"jrs-perf-report-v1\""),
+    // One trace group -> one collected report in each set, and the
+    // perf JSON carries the stable schema.
+    EXPECT_EQ(reports.perf.size(), 1u);
+    EXPECT_EQ(reports.cct.size(), 1u);
+    EXPECT_EQ(reports.sample.size(), 1u);
+    EXPECT_NE(reports.perf.toJson().find("\"jrs-perf-report-v1\""),
               std::string::npos);
 }
 
