@@ -53,6 +53,13 @@ PredictorBank::onEvent(const TraceEvent &ev)
     }
 }
 
+void
+PredictorBank::onEvents(const TraceEvent *evs, std::size_t n)
+{
+    for (std::size_t i = 0; i < n; ++i)
+        onEvent(evs[i]);
+}
+
 std::vector<PredictorResult>
 PredictorBank::results() const
 {

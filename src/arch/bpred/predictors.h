@@ -184,11 +184,12 @@ struct PredictorResult {
 };
 
 /** Runs the paper's four predictors + a shared BTB over one trace. */
-class PredictorBank : public TraceSink {
+class PredictorBank final : public TraceSink {
   public:
     PredictorBank();
 
     void onEvent(const TraceEvent &ev) override;
+    void onEvents(const TraceEvent *evs, std::size_t n) override;
 
     /** Results for every scheme, left-to-right as in Table 2. */
     std::vector<PredictorResult> results() const;

@@ -101,11 +101,16 @@ class Cache {
   private:
     bool lookup(std::uint64_t addr, bool is_write, Phase phase);
 
+    /** Index of the first (MRU) way of @p line's set in tags_. */
+    std::size_t setBase(std::uint64_t line) const {
+        return (static_cast<std::size_t>(line) & setMask_) * cfg_.assoc;
+    }
+
     CacheConfig cfg_;
     std::uint32_t lineShift_;
     std::uint32_t setMask_;
-    /** Per set: tags in MRU-first order (0 = invalid). */
-    std::vector<std::vector<std::uint64_t>> sets_;
+    /** numSets x assoc tags, each set MRU-first (0 = invalid). */
+    std::vector<std::uint64_t> tags_;
     CacheStats total_;
     CacheStats perPhase_[kNumPhases];
     OutcomeListener *listener_ = nullptr;
@@ -113,8 +118,72 @@ class Cache {
     PerfKind writeKind_ = PerfKind::ICacheFetch;
 };
 
+// Inline so the models that own a Cache (CacheSink, PipelineSim)
+// inline its per-access work into their per-event loops.
+
+inline bool
+Cache::access(std::uint64_t addr, bool is_write, Phase phase)
+{
+    const bool hit = lookup(addr, is_write, phase);
+    if (listener_ != nullptr) {
+        Outcome o;
+        o.pc = addr;
+        o.kind = is_write ? writeKind_ : readKind_;
+        o.phase = phase;
+        o.bad = !hit;
+        listener_->onOutcome(o);
+    }
+    return hit;
+}
+
+inline bool
+Cache::lookup(std::uint64_t addr, bool is_write, Phase phase)
+{
+    const std::uint64_t line = addr >> lineShift_;
+    const std::uint64_t tag = line | 0x8000'0000'0000'0000ull;  // valid
+    std::uint64_t *set = tags_.data() + setBase(line);
+    const std::uint32_t ways = cfg_.assoc;
+
+    CacheStats &ps = perPhase_[static_cast<std::size_t>(phase)];
+    if (is_write) {
+        ++total_.writes;
+        ++ps.writes;
+    } else {
+        ++total_.reads;
+        ++ps.reads;
+    }
+
+    for (std::uint32_t i = 0; i < ways; ++i) {
+        if (set[i] == tag) {
+            // Hit: move to MRU position.
+            for (std::uint32_t j = i; j > 0; --j)
+                set[j] = set[j - 1];
+            set[0] = tag;
+            return true;
+        }
+    }
+
+    // Miss.
+    if (is_write) {
+        ++total_.writeMisses;
+        ++ps.writeMisses;
+    } else {
+        ++total_.readMisses;
+        ++ps.readMisses;
+    }
+    if (is_write && !cfg_.writeAllocate)
+        return false;  // write-around: no fill
+
+    // Fill at MRU, dropping the LRU way (an invalid one while the set
+    // is not yet full).
+    for (std::uint32_t j = ways - 1; j > 0; --j)
+        set[j] = set[j - 1];
+    set[0] = tag;
+    return false;
+}
+
 /** Split L1 fed from the trace stream. */
-class CacheSink : public TraceSink {
+class CacheSink final : public TraceSink {
   public:
     CacheSink(CacheConfig icfg, CacheConfig dcfg)
         : icache_(icfg), dcache_(dcfg) {}
@@ -125,6 +194,11 @@ class CacheSink : public TraceSink {
             dcache_.access(ev.mem, false, ev.phase);
         else if (ev.kind == NKind::Store)
             dcache_.access(ev.mem, true, ev.phase);
+    }
+
+    void onEvents(const TraceEvent *evs, std::size_t n) override {
+        for (std::size_t i = 0; i < n; ++i)
+            onEvent(evs[i]);
     }
 
     Cache &icache() { return icache_; }

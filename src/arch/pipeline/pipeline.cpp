@@ -102,7 +102,8 @@ PipelineSim::onEvent(const TraceEvent &ev)
             ready = std::max(ready, mshr_[mshrHead_]);
             latency += cfg_.dcacheMissPenalty;
             mshr_[mshrHead_] = ready + latency;
-            mshrHead_ = (mshrHead_ + 1) % mshr_.size();
+            if (++mshrHead_ == mshr_.size())
+                mshrHead_ = 0;
             dcacheBudget = cfg_.dcacheMissPenalty + mshrWait;
         }
         if (listener_ != nullptr) {
@@ -122,7 +123,8 @@ PipelineSim::onEvent(const TraceEvent &ev)
             mshr_[mshrHead_] =
                 std::max(mshr_[mshrHead_], ready)
                 + cfg_.dcacheMissPenalty;
-            mshrHead_ = (mshrHead_ + 1) % mshr_.size();
+            if (++mshrHead_ == mshr_.size())
+                mshrHead_ = 0;
         }
         if (listener_ != nullptr) {
             Outcome o;
@@ -214,7 +216,8 @@ PipelineSim::onEvent(const TraceEvent &ev)
     }
     lastCommit_ = commit;
     rob_[robHead_] = commit;
-    robHead_ = (robHead_ + 1) % rob_.size();
+    if (++robHead_ == rob_.size())
+        robHead_ = 0;
 
     if (listener_ != nullptr) {
         // Interval-style CPI stack: split this instruction's commit
@@ -240,6 +243,13 @@ PipelineSim::onEvent(const TraceEvent &ev)
             remaining;
         listener_->onRetire(s);
     }
+}
+
+void
+PipelineSim::onEvents(const TraceEvent *evs, std::size_t n)
+{
+    for (std::size_t i = 0; i < n; ++i)
+        onEvent(evs[i]);
 }
 
 } // namespace jrs

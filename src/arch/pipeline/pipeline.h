@@ -56,11 +56,12 @@ struct PipelineConfig {
 };
 
 /** The trace-driven pipeline. */
-class PipelineSim : public TraceSink {
+class PipelineSim final : public TraceSink {
   public:
     explicit PipelineSim(PipelineConfig cfg);
 
     void onEvent(const TraceEvent &ev) override;
+    void onEvents(const TraceEvent *evs, std::size_t n) override;
 
     /** Instructions retired. */
     std::uint64_t instructions() const { return insts_; }

@@ -127,6 +127,9 @@ TraceInvariantChecker::onEvent(const TraceEvent &ev)
         if (ev.kind != NKind::Branch && ev.kind != NKind::Ret
             && ev.target == 0)
             flag(std::string(nkindName(ev.kind)) + " with null target");
+        if (ev.target >= seg::kEnd)
+            flag(std::string(nkindName(ev.kind)) + " target "
+                 + hex(ev.target) + " outside the address map");
     } else {
         if (ev.taken)
             flag(std::string(nkindName(ev.kind)) + " marked taken");

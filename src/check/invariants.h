@@ -22,7 +22,9 @@
  *    rodata) and a power-of-two size in [1, 8]; non-memory events
  *    carry none
  *  - branch events carry an outcome; all other control kinds are
- *    always "taken" and (except Ret) carry a nonzero target;
+ *    always "taken" and (except Ret) carry a nonzero target; every
+ *    target lies below seg::kEnd, the end of the address map (the
+ *    32-bit address-width invariant TraceBuffer packs on);
  *    non-control events carry neither outcome nor target
  *  - register ids are < 32 or kNoReg
  *

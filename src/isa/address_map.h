@@ -53,6 +53,10 @@ inline constexpr SimAddr kRuntimeData = 0x9000'0000ull;
 /** Size of each segment. */
 inline constexpr SimAddr kSegmentSize = 0x1000'0000ull;
 
+/** One past the last mapped address: every pc, mem and target is
+    below it, so each fits TraceBuffer's 32-bit record fields. */
+inline constexpr SimAddr kEnd = kRuntimeData + kSegmentSize;
+
 } // namespace seg
 
 /**

@@ -12,6 +12,7 @@
 #ifndef JRS_ISA_TRACE_H
 #define JRS_ISA_TRACE_H
 
+#include <cstddef>
 #include <cstdint>
 #include <string>
 #include <vector>
@@ -127,11 +128,28 @@ class TraceSink {
     /** Deliver one dynamic instruction. */
     virtual void onEvent(const TraceEvent &ev) = 0;
 
+    /**
+     * Deliver @p n consecutive instructions (TraceBuffer replay). The
+     * block is valid only during the call. An override must observe
+     * the same events in the same order as n onEvent() calls; hot
+     * sinks override it to loop without per-event virtual dispatch.
+     * Default: onEvent() for each event.
+     */
+    virtual void onEvents(const TraceEvent *evs, std::size_t n) {
+        for (std::size_t i = 0; i < n; ++i)
+            onEvent(evs[i]);
+    }
+
     /** Stream finished (engine run complete). Default: no-op. */
     virtual void onFinish() {}
 };
 
-/** Fan-out sink delivering each event to several child sinks. */
+/**
+ * Fan-out sink delivering each event to several child sinks. Blocks
+ * are forwarded sink-major, so children must not depend on seeing
+ * each other's events interleaved (listener-coupled models use the
+ * attribution composites instead).
+ */
 class MultiSink : public TraceSink {
   public:
     /** Append a child; ownership stays with the caller. */
@@ -140,6 +158,12 @@ class MultiSink : public TraceSink {
     void onEvent(const TraceEvent &ev) override {
         for (TraceSink *s : sinks_)
             s->onEvent(ev);
+    }
+
+    /** Sink-major: each child sees the whole block before the next. */
+    void onEvents(const TraceEvent *evs, std::size_t n) override {
+        for (TraceSink *s : sinks_)
+            s->onEvents(evs, n);
     }
 
     void onFinish() override {

@@ -38,9 +38,10 @@ inline constexpr std::size_t kTraceRecordBytes = 35;
 inline constexpr std::size_t kTraceHeaderBytes = 16;
 
 /**
- * Encode @p ev into exactly kTraceRecordBytes at @p out. The same
- * packed layout backs trace files and the in-memory TraceBuffer, so a
- * buffer round-trips through disk losslessly by construction.
+ * Encode @p ev into exactly kTraceRecordBytes at @p out. Every
+ * TraceEvent field is kept at full width, so any event — including
+ * one TraceBuffer holds in its escape table — round-trips through a
+ * file losslessly.
  */
 void encodeTraceRecord(const TraceEvent &ev, std::uint8_t *out);
 

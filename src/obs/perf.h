@@ -244,7 +244,7 @@ class PerfAttribution : public TraceSink, public OutcomeListener {
  * is shared so the composite can outlive the run that built it
  * (sweep replay).
  */
-class AttributedPipeline : public TraceSink {
+class AttributedPipeline final : public TraceSink {
   public:
     AttributedPipeline(PipelineConfig cfg,
                        std::shared_ptr<const MethodMap> map,
@@ -257,6 +257,13 @@ class AttributedPipeline : public TraceSink {
     void onEvent(const TraceEvent &ev) override {
         perf_.onEvent(ev);
         pipe_.onEvent(ev);
+    }
+    /** Event-major: the ordering contract holds inside a block. */
+    void onEvents(const TraceEvent *evs, std::size_t n) override {
+        for (std::size_t i = 0; i < n; ++i) {
+            perf_.onEvent(evs[i]);
+            pipe_.onEvent(evs[i]);
+        }
     }
     void onFinish() override { perf_.onFinish(); }
 

@@ -192,7 +192,7 @@ class CctBuilder : public TraceSink, public OutcomeListener {
  * MethodMap is shared so the composite can outlive the run that
  * built it (sweep replay).
  */
-class CctPipeline : public TraceSink {
+class CctPipeline final : public TraceSink {
   public:
     CctPipeline(PipelineConfig cfg,
                 std::shared_ptr<const obs::MethodMap> map,
@@ -205,6 +205,13 @@ class CctPipeline : public TraceSink {
     void onEvent(const TraceEvent &ev) override {
         cct_.onEvent(ev);
         pipe_.onEvent(ev);
+    }
+    /** Event-major: the ordering contract holds inside a block. */
+    void onEvents(const TraceEvent *evs, std::size_t n) override {
+        for (std::size_t i = 0; i < n; ++i) {
+            cct_.onEvent(evs[i]);
+            pipe_.onEvent(evs[i]);
+        }
     }
     void onFinish() override { cct_.onFinish(); }
 

@@ -191,7 +191,7 @@ class SamplingProfiler : public TraceSink, public OutcomeListener {
  * pattern). The MethodMap is shared so the composite can outlive the
  * run that built it (sweep replay).
  */
-class SamplePipeline : public TraceSink {
+class SamplePipeline final : public TraceSink {
   public:
     SamplePipeline(PipelineConfig cfg,
                    std::shared_ptr<const obs::MethodMap> map,
@@ -205,6 +205,13 @@ class SamplePipeline : public TraceSink {
     void onEvent(const TraceEvent &ev) override {
         sampler_.onEvent(ev);
         pipe_.onEvent(ev);
+    }
+    /** Event-major: the ordering contract holds inside a block. */
+    void onEvents(const TraceEvent *evs, std::size_t n) override {
+        for (std::size_t i = 0; i < n; ++i) {
+            sampler_.onEvent(evs[i]);
+            pipe_.onEvent(evs[i]);
+        }
     }
     void onFinish() override { sampler_.onFinish(); }
 

@@ -41,6 +41,12 @@ class ObserverPair : public TraceSink {
         if (b != nullptr)
             b->onEvent(ev);
     }
+    void onEvents(const TraceEvent *evs, std::size_t n) override {
+        if (a != nullptr)
+            a->onEvents(evs, n);
+        if (b != nullptr)
+            b->onEvents(evs, n);
+    }
     void onFinish() override {
         if (a != nullptr)
             a->onFinish();

@@ -35,7 +35,8 @@ metricCell(double v)
 /**
  * Replay-side fan-out with per-subscriber fault isolation: a
  * subscriber whose sink throws is detached with the error recorded,
- * and delivery to the others continues.
+ * and delivery to the others continues. Blocks go to the subscribers
+ * sink-major, so a failure is pinned to the block that raised it.
  */
 class GuardedFanout : public TraceSink {
   public:
@@ -48,19 +49,21 @@ class GuardedFanout : public TraceSink {
     explicit GuardedFanout(std::vector<Subscriber> subscribers)
         : subs_(std::move(subscribers)) {}
 
-    void onEvent(const TraceEvent &ev) override {
-        ++delivered_;
+    void onEvent(const TraceEvent &ev) override { onEvents(&ev, 1); }
+
+    void onEvents(const TraceEvent *evs, std::size_t n) override {
         for (Subscriber &s : subs_) {
             if (s.dead)
                 continue;
             try {
-                s.sink->onEvent(ev);
+                s.sink->onEvents(evs, n);
             } catch (const std::exception &e) {
-                kill(s, e.what());
+                kill(s, n, e.what());
             } catch (...) {
-                kill(s, "unknown exception");
+                kill(s, n, "unknown exception");
             }
         }
+        delivered_ += n;
     }
 
     void onFinish() override {
@@ -70,9 +73,9 @@ class GuardedFanout : public TraceSink {
             try {
                 s.sink->onFinish();
             } catch (const std::exception &e) {
-                kill(s, e.what());
+                kill(s, 0, e.what());
             } catch (...) {
-                kill(s, "unknown exception");
+                kill(s, 0, "unknown exception");
             }
         }
     }
@@ -80,10 +83,15 @@ class GuardedFanout : public TraceSink {
     const std::vector<Subscriber> &subscribers() const { return subs_; }
 
   private:
-    void kill(Subscriber &s, const char *what) {
+    /** Detach @p s, failed in the current block of @p n events (0:
+        in onFinish, after every event). */
+    void kill(Subscriber &s, std::size_t n, const char *what) {
         s.dead = true;
-        s.error = "sink failed at event "
-            + std::to_string(delivered_) + ": " + what;
+        s.error = n == 0
+            ? "sink failed at finish after "
+                + std::to_string(delivered_) + " events: " + what
+            : "sink failed in event block [" + std::to_string(delivered_)
+                + ", " + std::to_string(delivered_ + n) + "): " + what;
     }
 
     std::vector<Subscriber> subs_;

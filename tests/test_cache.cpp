@@ -1,5 +1,11 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <ostream>
+#include <random>
+#include <string>
+#include <vector>
+
 #include "arch/cache/cache.h"
 #include "arch/cache/time_series.h"
 #include "vm/runtime/vm_error.h"
@@ -142,6 +148,114 @@ TEST_P(AssocSweep, LruInclusionProperty)
 
 INSTANTIATE_TEST_SUITE_P(Assocs, AssocSweep,
                          ::testing::Values(1u, 2u, 4u));
+
+/** Textbook true-LRU: per set, a variable-length MRU-first list. */
+class ReferenceLru {
+  public:
+    explicit ReferenceLru(CacheConfig cfg)
+        : cfg_(cfg), sets_(cfg.numSets()) {}
+
+    bool access(std::uint64_t addr, bool is_write) {
+        const std::uint64_t line = addr / cfg_.lineBytes;
+        std::vector<std::uint64_t> &set = sets_[line % sets_.size()];
+        const auto it = std::find(set.begin(), set.end(), line);
+        if (it != set.end()) {
+            set.erase(it);
+            set.insert(set.begin(), line);
+            return true;
+        }
+        if (is_write && !cfg_.writeAllocate)
+            return false;
+        set.insert(set.begin(), line);
+        if (set.size() > cfg_.assoc)
+            set.pop_back();
+        return false;
+    }
+
+    bool contains(std::uint64_t addr) const {
+        const std::uint64_t line = addr / cfg_.lineBytes;
+        const std::vector<std::uint64_t> &set = sets_[line % sets_.size()];
+        return std::find(set.begin(), set.end(), line) != set.end();
+    }
+
+  private:
+    CacheConfig cfg_;
+    std::vector<std::vector<std::uint64_t>> sets_;
+};
+
+/**
+ * The flat MRU-first tag array matches a reference LRU access for
+ * access: the four geometries of the host benchmark's sweep grid plus
+ * a write-no-allocate cache, on a random stream of conflicting lines
+ * spread over the whole simulated address map.
+ */
+struct Geometry {
+    CacheConfig cfg;
+};
+
+std::string
+geometryName(const CacheConfig &c)
+{
+    return std::to_string(c.sizeBytes / 1024) + "k"
+        + std::to_string(c.assoc) + "w" + std::to_string(c.lineBytes)
+        + "b" + (c.writeAllocate ? "" : "_noalloc");
+}
+
+// gtest would print CacheConfig's raw bytes, padding included, so the
+// listed test names would differ from build to build.
+void
+PrintTo(const Geometry &g, std::ostream *os)
+{
+    *os << geometryName(g.cfg);
+}
+
+class LruReference : public ::testing::TestWithParam<Geometry> {};
+
+TEST_P(LruReference, MatchesReferenceLruAccessForAccess)
+{
+    const CacheConfig cfg = GetParam().cfg;
+    Cache cache(cfg);
+    ReferenceLru ref(cfg);
+    std::mt19937_64 rng(0x5eed + cfg.sizeBytes + cfg.assoc);
+    // A pool four times the cache's line count keeps every set under
+    // pressure; segment bases make tags differ in their high bits.
+    const std::uint32_t lines = cfg.sizeBytes / cfg.lineBytes;
+    std::vector<std::uint64_t> pool(4 * lines);
+    for (std::uint64_t &a : pool)
+        a = (rng() % 9 + 1) * 0x1000'0000ull + rng() % 0x4'0000;
+    std::uint64_t misses = 0, writes = 0;
+    for (int i = 0; i < 100000; ++i) {
+        // Mostly a hot eighth of the pool, so hits and LRU reordering
+        // are common, with cold accesses mixed in.
+        const std::size_t pick = rng() % 4 != 0
+            ? rng() % (pool.size() / 8)
+            : rng() % pool.size();
+        const std::uint64_t addr = pool[pick] + rng() % cfg.lineBytes;
+        const bool is_write = rng() % 4 == 0;
+        const bool want = ref.access(addr, is_write);
+        ASSERT_EQ(cache.access(addr, is_write, Phase::Interpret), want)
+            << "access " << i << " addr 0x" << std::hex << addr;
+        misses += want ? 0 : 1;
+        writes += is_write ? 1 : 0;
+    }
+    EXPECT_EQ(cache.stats().accesses(), 100000u);
+    EXPECT_EQ(cache.stats().writes, writes);
+    EXPECT_EQ(cache.stats().misses(), misses);
+    // The final contents agree line for line.
+    for (const std::uint64_t a : pool)
+        EXPECT_EQ(cache.probe(a), ref.contains(a)) << std::hex << a;
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Geometries, LruReference,
+    ::testing::Values(Geometry{{8 * 1024, 32, 1, true}},
+                      Geometry{{8 * 1024, 32, 4, true}},
+                      Geometry{{16 * 1024, 64, 2, true}},
+                      Geometry{{64 * 1024, 32, 2, true}},
+                      Geometry{{8 * 1024, 32, 4, false}}),
+    [](const ::testing::TestParamInfo<Geometry> &info) {
+        return geometryName(info.param.cfg);
+    });
 
 /** Property: accesses are conserved across phase counters. */
 class PhaseConservation

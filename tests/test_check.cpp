@@ -524,6 +524,45 @@ TEST(TraceInvariantsUnit, SyntheticViolationsAreCaught)
     }
 }
 
+TEST(TraceInvariantsUnit, TargetsOutsideTheAddressMapAreCaught)
+{
+    using check::TraceInvariantChecker;
+
+    TraceEvent call;
+    call.pc = seg::kInterpCode + 4;
+    call.kind = NKind::Call;
+    call.phase = Phase::Interpret;
+    call.taken = true;
+
+    // The last mapped word is a legal target.
+    {
+        TraceInvariantChecker c;
+        call.target = seg::kEnd - 4;
+        c.onEvent(call);
+        EXPECT_TRUE(c.ok()) << c.report();
+    }
+    // One past the map, and a target above 4 GiB, are flagged for
+    // every control kind that carries one.
+    for (const std::uint64_t target :
+         {seg::kEnd, std::uint64_t{0x1'0000'0040}}) {
+        for (const NKind kind :
+             {NKind::Branch, NKind::Jump, NKind::IndirectJump, NKind::Call,
+              NKind::IndirectCall, NKind::Ret}) {
+            TraceInvariantChecker c;
+            TraceEvent ev = call;
+            ev.kind = kind;
+            ev.target = target;
+            c.onEvent(ev);
+            ASSERT_EQ(c.violationCount(), 1u)
+                << nkindName(kind) << " -> " << target << "\n"
+                << c.report();
+            EXPECT_NE(c.violations()[0].what.find("outside the address map"),
+                      std::string::npos)
+                << c.violations()[0].what;
+        }
+    }
+}
+
 // ---------------------------------------------------------------------
 // Profile-vs-attribution join
 // ---------------------------------------------------------------------

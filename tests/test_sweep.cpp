@@ -14,6 +14,9 @@
 #include "arch/pipeline/pipeline.h"
 #include "harness/experiment.h"
 #include "isa/trace_buffer.h"
+#include "obs/perf.h"
+#include "prof/cct.h"
+#include "prof/sampler.h"
 #include "sweep/sweep.h"
 #include "vm/runtime/vm_error.h"
 
@@ -230,6 +233,12 @@ TEST(Sweep, ThrowingSinkPoisonsOnlyItsPoint)
     EXPECT_NE(result.points[1].error.find("sink exploded"),
               std::string::npos)
         << result.points[1].error;
+    // Blocks are delivered whole, so the error names the block that
+    // held the 100th event rather than an exact index.
+    const std::string block = "event block [0, "
+        + std::to_string(TraceBuffer::kReplayBlock) + ")";
+    EXPECT_NE(result.points[1].error.find(block), std::string::npos)
+        << result.points[1].error;
 
     // The surviving point still matches a live serial run.
     const std::vector<Metric> serial = liveSerialMetrics(grid[0]);
@@ -344,6 +353,140 @@ TEST(Sweep, TraceBufferDiskRoundTripIsLossless)
               fromDisk.icache().stats().misses());
     EXPECT_EQ(fromOriginal.dcache().stats().misses(),
               fromDisk.dcache().stats().misses());
+}
+
+/**
+ * Hides a sink's onEvents(): the TraceSink default then delivers one
+ * virtual onEvent() per event, as replay did before blocks.
+ */
+class PerEventAdapter : public TraceSink {
+  public:
+    explicit PerEventAdapter(TraceSink &inner) : inner_(inner) {}
+    void onEvent(const TraceEvent &ev) override { inner_.onEvent(ev); }
+    void onFinish() override { inner_.onFinish(); }
+
+  private:
+    TraceSink &inner_;
+};
+
+std::vector<std::uint64_t>
+cacheStats(const Cache &c)
+{
+    const CacheStats &s = c.stats();
+    return {s.reads, s.writes, s.readMisses, s.writeMisses};
+}
+
+std::vector<std::uint64_t>
+pipelineStats(const PipelineSim &p)
+{
+    std::vector<std::uint64_t> out{
+        p.cycles(),         p.instructions(),   p.mispredicts(),
+        p.condBranches(),   p.condMispredicts(), p.indirects(),
+        p.indirectMispredicts()};
+    for (const Cache *c : {&p.icache(), &p.dcache()}) {
+        for (const std::uint64_t v : cacheStats(*c))
+            out.push_back(v);
+    }
+    return out;
+}
+
+/** Replay @p run into a fresh sink from @p make twice, once in blocks
+    and once event by event, and compare @p stats of the two. */
+template <typename Make, typename Stats>
+void
+expectBlockReplayMatchesPerEvent(const RecordedRun &run, Make make,
+                                 Stats stats)
+{
+    const auto blocked = make();
+    const auto single = make();
+    run.trace->replay(*blocked);
+    PerEventAdapter adapter(*single);
+    run.trace->replay(adapter);
+    EXPECT_EQ(stats(*blocked), stats(*single));
+}
+
+TEST(Sweep, BlockReplayMatchesPerEventReplayForBatchedSinks)
+{
+    for (const ExecMode mode : {ExecMode::interp(), ExecMode::jit()}) {
+        SCOPED_TRACE(mode.id());
+        const RecordedRun run =
+            recordWorkload(tinyKey("db", mode).toRunSpec());
+        ASSERT_GT(run.trace->size(), 4 * TraceBuffer::kReplayBlock);
+
+        expectBlockReplayMatchesPerEvent(
+            run, [] { return std::make_unique<CacheSink>(l1(2), l1(4)); },
+            [](const CacheSink &s) {
+                std::vector<std::uint64_t> out = cacheStats(s.icache());
+                for (const std::uint64_t v : cacheStats(s.dcache()))
+                    out.push_back(v);
+                return out;
+            });
+        expectBlockReplayMatchesPerEvent(
+            run, [] { return std::make_unique<PredictorBank>(); },
+            [](const PredictorBank &s) {
+                std::vector<std::uint64_t> out{s.indirects(),
+                                               s.btbMisses()};
+                for (const PredictorResult &r : s.results())
+                    out.push_back(r.condMispredicts);
+                return out;
+            });
+        expectBlockReplayMatchesPerEvent(
+            run,
+            [] { return std::make_unique<PipelineSim>(PipelineConfig{}); },
+            pipelineStats);
+        expectBlockReplayMatchesPerEvent(
+            run,
+            [&] {
+                return std::make_unique<obs::AttributedPipeline>(
+                    PipelineConfig{}, run.methods);
+            },
+            [](const obs::AttributedPipeline &s) {
+                obs::PerfReportSet set;
+                set.add("run", s.perf());
+                return std::make_pair(pipelineStats(s.pipeline()),
+                                      set.toJson());
+            });
+        expectBlockReplayMatchesPerEvent(
+            run,
+            [&] {
+                return std::make_unique<prof::CctPipeline>(
+                    PipelineConfig{}, run.methods);
+            },
+            [](const prof::CctPipeline &s) {
+                prof::CctReportSet set;
+                set.add("run", s.cct());
+                return std::make_pair(pipelineStats(s.pipeline()),
+                                      set.toJson());
+            });
+        expectBlockReplayMatchesPerEvent(
+            run,
+            [&] {
+                return std::make_unique<prof::SamplePipeline>(
+                    PipelineConfig{}, run.methods);
+            },
+            [](const prof::SamplePipeline &s) {
+                prof::SampleReportSet set;
+                set.add("run", s.sampler());
+                return std::make_pair(pipelineStats(s.pipeline()),
+                                      set.toJson());
+            });
+    }
+}
+
+TEST(Sweep, SuiteStreamsPackWithoutEscapes)
+{
+    // Every recorded address is below the end of the address map and
+    // no event carries both mem and target, so each event takes one
+    // 16-byte record and nothing spills to the escape table.
+    for (const WorkloadInfo &w : allWorkloads()) {
+        for (const ExecMode mode : {ExecMode::interp(), ExecMode::jit()}) {
+            const RecordedRun run =
+                recordWorkload(tinyKey(w.name, mode).toRunSpec());
+            ASSERT_GT(run.trace->size(), 0u) << w.name;
+            EXPECT_EQ(run.trace->memoryBytes(), 16 * run.trace->size())
+                << w.name << "/" << mode.id();
+        }
+    }
 }
 
 TEST(Sweep, MalformedGridThrows)
