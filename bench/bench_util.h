@@ -10,6 +10,7 @@
 #include <cstdlib>
 #include <iostream>
 #include <string>
+#include <thread>
 #include <utility>
 #include <vector>
 
@@ -83,8 +84,7 @@ struct SweepBenchArgs {
     unsigned jobs = 0;        ///< 0 = hardware concurrency
     std::string json;         ///< --json: write the SweepResult
     std::string cacheDir;     ///< --cache-dir: on-disk trace cache
-    bool compareSerial = false;  ///< --compare-serial
-    std::string benchJson;    ///< --bench-json: speedup trajectory file
+    std::string benchJson;    ///< --bench-json: throughput trajectory file
     obs::ObsCli obs;          ///< --metrics/trace/perf-json (obs/cli.h)
 };
 
@@ -115,8 +115,6 @@ parseSweepBenchArgs(int argc, char **argv)
             out.json = next();
         } else if (a == "--cache-dir") {
             out.cacheDir = next();
-        } else if (a == "--compare-serial") {
-            out.compareSerial = true;
         } else if (a == "--bench-json") {
             out.benchJson = next();
         } else if (out.obs.tryParse(a, next)) {
@@ -124,7 +122,7 @@ parseSweepBenchArgs(int argc, char **argv)
         } else {
             std::cerr << "usage: " << argv[0]
                       << " [--jobs N] [--json FILE] [--cache-dir DIR]"
-                         " [--compare-serial] [--bench-json FILE]"
+                         " [--bench-json FILE]"
                       << obs::ObsCli::usageText() << '\n';
             std::exit(2);
         }
@@ -225,6 +223,37 @@ upsertBenchRuns(const std::string &path, const std::string &suite,
         std::cerr << "error: " << e.what() << '\n';
         std::exit(1);
     }
+}
+
+/**
+ * --bench-json: run @p grid again on @p engine, warm — every stream is
+ * now in the engine's in-process cache, so this times the pure
+ * replay-many path — and record the @p cold and warm sweeps as
+ * "<name>/sweep_cold" and "<name>/sweep_warm" jrs-bench-v1 entries of
+ * the "sweep" suite. Both share the grid's event count, so their
+ * events_per_sec ratio is the warm speedup.
+ */
+inline void
+recordSweepRuns(const SweepBenchArgs &args, sweep::SweepEngine &engine,
+                const sweep::SweepResult &cold,
+                const std::vector<sweep::SweepPoint> &grid,
+                const std::string &name)
+{
+    const sweep::SweepResult warm = engine.run(grid);
+    std::cout << "\nsweep cold " << fixed(cold.wallSeconds, 2)
+              << "s | sweep warm " << fixed(warm.wallSeconds, 2)
+              << "s\n";
+    const std::uint64_t ev = sweepEvents(cold);
+    prof::BenchRun coldRun =
+        benchRun(name + "/sweep_cold", ev, cold.wallSeconds);
+    coldRun.metrics.emplace_back("jobs", static_cast<double>(cold.jobs));
+    coldRun.metrics.emplace_back(
+        "hw_threads",
+        static_cast<double>(std::thread::hardware_concurrency()));
+    upsertBenchRuns(
+        args.benchJson, "sweep",
+        {std::move(coldRun),
+         benchRun(name + "/sweep_warm", ev, warm.wallSeconds)});
 }
 
 } // namespace jrs::bench

@@ -12,12 +12,9 @@
  * DIR`): each mode's stream is recorded once and replayed into an
  * attributed split L1 whose IntervalTimeline (obs/perf.h) provides
  * the windowed sampling — the window is sized to ~40 samples straight
- * from the recording's event count, so the old dry-run pass is gone.
- * `--compare-serial` also runs the original hand-rolled
- * TimeSeriesCacheSink on a live VM run and asserts both paths produce
- * bit-identical curves.
+ * from the recording's event count. tests/test_perf.cpp checks the
+ * timeline against a reference windowed cache sampler.
  */
-#include "arch/cache/time_series.h"
 #include "bench_util.h"
 
 using namespace jrs;
@@ -107,50 +104,6 @@ printSeries(const char *mode, const Curve &curve)
     t.print(std::cout);
 }
 
-/** The original implementation: live runs through the hand-rolled
-    windowed sampler, with a dry run to size the windows. */
-std::pair<TimeSeriesCacheSink, TimeSeriesCacheSink>
-runLegacyBaseline(const WorkloadInfo &db)
-{
-    const ModePair sizes = runBothModes(db, 0, nullptr, nullptr);
-    std::pair<TimeSeriesCacheSink, TimeSeriesCacheSink> out{
-        TimeSeriesCacheSink(
-            kIcfg, kDcfg,
-            std::max<std::uint64_t>(
-                1, sizes.interp.totalEvents / kTargetWindows)),
-        TimeSeriesCacheSink(
-            kIcfg, kDcfg,
-            std::max<std::uint64_t>(
-                1, sizes.jit.totalEvents / kTargetWindows))};
-    (void)runBothModes(db, 0, &out.first, &out.second);
-    return out;
-}
-
-/** Bit-identical curve comparison between the two implementations. */
-bool
-identical(const TimeSeriesCacheSink &legacy, const Curve &curve)
-{
-    if (legacy.windowEvents() != curve.window
-        || legacy.samples().size() != curve.samples.size()) {
-        return false;
-    }
-    for (std::size_t i = 0; i < curve.samples.size(); ++i) {
-        const MissSample &a = legacy.samples()[i];
-        const obs::IntervalSample &b = curve.samples[i];
-        if (a.iMisses
-                != b.bad[static_cast<std::size_t>(
-                    PerfKind::ICacheFetch)]
-            || a.dMisses != dMisses(b)
-            || a.dWriteMisses
-                != b.bad[static_cast<std::size_t>(
-                    PerfKind::DCacheStore)]
-            || a.translateEvents != b.translateEvents) {
-            return false;
-        }
-    }
-    return true;
-}
-
 } // namespace
 
 int
@@ -193,19 +146,6 @@ main(int argc, char **argv)
     if (!args.json.empty())
         result.writeJson(args.json);
 
-    if (args.compareSerial) {
-        const WorkloadInfo *db = findWorkload("db");
-        const auto legacy = runLegacyBaseline(*db);
-        const bool same = identical(legacy.first, interp)
-            && identical(legacy.second, jit);
-        std::cout << "\nlegacy TimeSeriesCacheSink curves "
-                     "bit-identical: "
-                  << (same ? "yes" : "NO") << '\n';
-        if (!same) {
-            bench::finishObs(args, &reports);
-            return 1;
-        }
-    }
     bench::finishObs(args, &reports);
     return 0;
 }

@@ -9,91 +9,13 @@
  * This bench runs on the sweep engine: each (workload, mode) stream
  * is recorded once and replayed into the four associativity models,
  * with streams processed in parallel across `--jobs` workers.
- * `--compare-serial` also runs the pre-sweep implementation (live VM
- * run per point) and checks the two produce bit-identical miss rates;
- * `--bench-json FILE` records serial/cold/warm throughput in a
+ * `--bench-json FILE` records cold and warm sweep throughput in a
  * jrs-bench-v1 trajectory file (prof/bench.h).
  */
-#include <chrono>
-#include <thread>
-
-#include "arch/cache/cache.h"
 #include "bench_util.h"
 #include "sweep/grids.h"
 
 using namespace jrs;
-
-namespace {
-
-/** Per-point serial miss rates, keyed by the grid's point labels. */
-struct SerialBaseline {
-    double seconds = 0;
-    // label -> (icache_miss_pct, dcache_miss_pct)
-    std::vector<std::pair<std::string, std::pair<double, double>>>
-        points;
-};
-
-/** The original implementation: one live VM run per (workload, mode)
-    fanned out to all four associativity models through a MultiSink. */
-SerialBaseline
-runSerialBaseline()
-{
-    const auto t0 = std::chrono::steady_clock::now();
-    SerialBaseline out;
-    for (const WorkloadInfo *w : bench::suite()) {
-        for (const bool jit : {false, true}) {
-            std::vector<std::unique_ptr<CacheSink>> sinks;
-            MultiSink multi;
-            for (const std::uint32_t a : sweep::kFig07Assocs) {
-                sinks.push_back(std::make_unique<CacheSink>(
-                    CacheConfig{8 * 1024, 32, a, true},
-                    CacheConfig{8 * 1024, 32, a, true}));
-                multi.add(sinks.back().get());
-            }
-            RunSpec s;
-            s.workload = w;
-            s.policy = jit
-                ? std::static_pointer_cast<CompilationPolicy>(
-                      std::make_shared<AlwaysCompilePolicy>())
-                : std::static_pointer_cast<CompilationPolicy>(
-                      std::make_shared<NeverCompilePolicy>());
-            s.sink = &multi;
-            (void)runWorkload(s);
-            for (std::size_t k = 0; k < sinks.size(); ++k) {
-                out.points.emplace_back(
-                    sweep::fig07Label(w->name, jit,
-                                      sweep::kFig07Assocs[k]),
-                    std::make_pair(
-                        100.0
-                            * sinks[k]->icache().stats().missRate(),
-                        100.0
-                            * sinks[k]->dcache().stats().missRate()));
-            }
-        }
-    }
-    out.seconds = std::chrono::duration<double>(
-                      std::chrono::steady_clock::now() - t0)
-                      .count();
-    return out;
-}
-
-/** Exact per-point equality between serial and sweep results. */
-bool
-identical(const SerialBaseline &serial,
-          const sweep::SweepResult &swept)
-{
-    for (const auto &[label, miss] : serial.points) {
-        const sweep::PointResult *p = swept.find(label);
-        if (p == nullptr || !p->ok
-            || p->metric("icache_miss_pct") != miss.first
-            || p->metric("dcache_miss_pct") != miss.second) {
-            return false;
-        }
-    }
-    return true;
-}
-
-} // namespace
 
 int
 main(int argc, char **argv)
@@ -149,55 +71,9 @@ main(int argc, char **argv)
     if (!args.json.empty())
         result.writeJson(args.json);
 
-    if (args.compareSerial || !args.benchJson.empty()) {
-        // Warm pass: every stream is now in the engine's in-process
-        // cache, so this measures the pure replay-many path.
-        const sweep::SweepResult warm =
-            engine.run(sweep::buildFig07Grid());
-        const SerialBaseline serial = runSerialBaseline();
-        const bool same =
-            identical(serial, result) && identical(serial, warm);
-        std::cout << "\nserial " << fixed(serial.seconds, 2)
-                  << "s | sweep cold " << fixed(result.wallSeconds, 2)
-                  << "s (" << fixed(serial.seconds
-                                        / result.wallSeconds, 2)
-                  << "x) | sweep warm " << fixed(warm.wallSeconds, 2)
-                  << "s (" << fixed(serial.seconds / warm.wallSeconds,
-                                    2)
-                  << "x) | results bit-identical: "
-                  << (same ? "yes" : "NO") << '\n';
-        if (!args.benchJson.empty()) {
-            // Three jrs-bench-v1 entries sharing one event count (the
-            // same grid's streams) so events_per_sec ratios track the
-            // printed speedups.
-            const std::uint64_t ev = bench::sweepEvents(result);
-            prof::BenchRun sr =
-                bench::benchRun("fig07/serial", ev, serial.seconds);
-            sr.metrics.emplace_back("jobs",
-                                    static_cast<double>(result.jobs));
-            sr.metrics.emplace_back(
-                "hw_threads",
-                static_cast<double>(
-                    std::thread::hardware_concurrency()));
-            prof::BenchRun cold = bench::benchRun(
-                "fig07/sweep_cold", ev, result.wallSeconds);
-            cold.metrics.emplace_back(
-                "speedup_vs_serial",
-                serial.seconds / result.wallSeconds);
-            prof::BenchRun warmRun = bench::benchRun(
-                "fig07/sweep_warm", ev, warm.wallSeconds);
-            warmRun.metrics.emplace_back(
-                "speedup_vs_serial", serial.seconds / warm.wallSeconds);
-            warmRun.metrics.emplace_back("bit_identical",
-                                         same ? 1.0 : 0.0);
-            bench::upsertBenchRuns(
-                args.benchJson, "sweep",
-                {std::move(sr), std::move(cold), std::move(warmRun)});
-        }
-        if (!same) {
-            bench::finishObs(args, &reports);
-            return 1;
-        }
+    if (!args.benchJson.empty()) {
+        bench::recordSweepRuns(args, engine, result,
+                               sweep::buildFig07Grid(), "fig07");
     }
     bench::finishObs(args, &reports);
     return 0;

@@ -11,86 +11,12 @@
  * Runs on the sweep engine — one recording per (workload, mode),
  * replayed into the four line-size models, streams in parallel across
  * `--jobs` workers. See fig07_associativity.cpp for the
- * `--compare-serial` / `--bench-json` semantics.
+ * `--bench-json` semantics.
  */
-#include <chrono>
-#include <thread>
-
-#include "arch/cache/cache.h"
 #include "bench_util.h"
 #include "sweep/grids.h"
 
 using namespace jrs;
-
-namespace {
-
-struct SerialBaseline {
-    double seconds = 0;
-    // label -> (icache_miss_pct, dcache_miss_pct)
-    std::vector<std::pair<std::string, std::pair<double, double>>>
-        points;
-};
-
-/** The original implementation: one live VM run per (workload, mode)
-    fanned out to all four line-size models through a MultiSink. */
-SerialBaseline
-runSerialBaseline()
-{
-    const auto t0 = std::chrono::steady_clock::now();
-    SerialBaseline out;
-    for (const WorkloadInfo *w : bench::suite(true)) {
-        for (const bool jit : {false, true}) {
-            std::vector<std::unique_ptr<CacheSink>> sinks;
-            MultiSink multi;
-            for (const std::uint32_t lb : sweep::kFig08Lines) {
-                sinks.push_back(std::make_unique<CacheSink>(
-                    CacheConfig{8 * 1024, lb, 1, true},
-                    CacheConfig{8 * 1024, lb, 1, true}));
-                multi.add(sinks.back().get());
-            }
-            RunSpec s;
-            s.workload = w;
-            s.policy = jit
-                ? std::static_pointer_cast<CompilationPolicy>(
-                      std::make_shared<AlwaysCompilePolicy>())
-                : std::static_pointer_cast<CompilationPolicy>(
-                      std::make_shared<NeverCompilePolicy>());
-            s.sink = &multi;
-            (void)runWorkload(s);
-            for (std::size_t k = 0; k < sinks.size(); ++k) {
-                out.points.emplace_back(
-                    sweep::fig08Label(w->name, jit,
-                                      sweep::kFig08Lines[k]),
-                    std::make_pair(
-                        100.0
-                            * sinks[k]->icache().stats().missRate(),
-                        100.0
-                            * sinks[k]->dcache().stats().missRate()));
-            }
-        }
-    }
-    out.seconds = std::chrono::duration<double>(
-                      std::chrono::steady_clock::now() - t0)
-                      .count();
-    return out;
-}
-
-bool
-identical(const SerialBaseline &serial,
-          const sweep::SweepResult &swept)
-{
-    for (const auto &[label, miss] : serial.points) {
-        const sweep::PointResult *p = swept.find(label);
-        if (p == nullptr || !p->ok
-            || p->metric("icache_miss_pct") != miss.first
-            || p->metric("dcache_miss_pct") != miss.second) {
-            return false;
-        }
-    }
-    return true;
-}
-
-} // namespace
 
 int
 main(int argc, char **argv)
@@ -161,50 +87,9 @@ main(int argc, char **argv)
     if (!args.json.empty())
         result.writeJson(args.json);
 
-    if (args.compareSerial || !args.benchJson.empty()) {
-        const sweep::SweepResult warm =
-            engine.run(sweep::buildFig08Grid());
-        const SerialBaseline serial = runSerialBaseline();
-        const bool same =
-            identical(serial, result) && identical(serial, warm);
-        std::cout << "\nserial " << fixed(serial.seconds, 2)
-                  << "s | sweep cold " << fixed(result.wallSeconds, 2)
-                  << "s (" << fixed(serial.seconds
-                                        / result.wallSeconds, 2)
-                  << "x) | sweep warm " << fixed(warm.wallSeconds, 2)
-                  << "s (" << fixed(serial.seconds / warm.wallSeconds,
-                                    2)
-                  << "x) | results bit-identical: "
-                  << (same ? "yes" : "NO") << '\n';
-        if (!args.benchJson.empty()) {
-            const std::uint64_t ev = bench::sweepEvents(result);
-            prof::BenchRun sr =
-                bench::benchRun("fig08/serial", ev, serial.seconds);
-            sr.metrics.emplace_back("jobs",
-                                    static_cast<double>(result.jobs));
-            sr.metrics.emplace_back(
-                "hw_threads",
-                static_cast<double>(
-                    std::thread::hardware_concurrency()));
-            prof::BenchRun cold = bench::benchRun(
-                "fig08/sweep_cold", ev, result.wallSeconds);
-            cold.metrics.emplace_back(
-                "speedup_vs_serial",
-                serial.seconds / result.wallSeconds);
-            prof::BenchRun warmRun = bench::benchRun(
-                "fig08/sweep_warm", ev, warm.wallSeconds);
-            warmRun.metrics.emplace_back(
-                "speedup_vs_serial", serial.seconds / warm.wallSeconds);
-            warmRun.metrics.emplace_back("bit_identical",
-                                         same ? 1.0 : 0.0);
-            bench::upsertBenchRuns(
-                args.benchJson, "sweep",
-                {std::move(sr), std::move(cold), std::move(warmRun)});
-        }
-        if (!same) {
-            bench::finishObs(args, &reports);
-            return 1;
-        }
+    if (!args.benchJson.empty()) {
+        bench::recordSweepRuns(args, engine, result,
+                               sweep::buildFig08Grid(), "fig08");
     }
     bench::finishObs(args, &reports);
     return 0;

@@ -36,7 +36,7 @@ main(int argc, char **argv)
     Table t({"workload", "mode", "ipc_w1", "ipc_w2", "ipc_w4",
              "ipc_w8", "scaling_w8/w1"});
 
-    obs::PerfReportSet reports;
+    obs::ReportSet reports(obs::kPerfReportSchema);
     for (const WorkloadInfo *w : bench::suite(true)) {
         for (const bool jit : {false, true}) {
             std::vector<std::unique_ptr<PipelineSim>> sims;

@@ -34,7 +34,7 @@ main(int argc, char **argv)
     Table t({"workload", "mode", "w1", "w2", "w4", "w8",
              "cycles_w1"});
 
-    obs::PerfReportSet reports;
+    obs::ReportSet reports(obs::kPerfReportSchema);
     for (const WorkloadInfo *w : bench::suite(true)) {
         for (const bool jit : {false, true}) {
             std::vector<std::unique_ptr<PipelineSim>> sims;

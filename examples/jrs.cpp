@@ -35,8 +35,9 @@
  * --fold and the collector and code-cache flags. perf, profile and gc
  * also take the ObsCli output flags (--metrics-json, --trace-json,
  * --perf-json, --cct-json, --flame, --sample-json, --sample-period,
- * --sample-seed); in perf and profile the calling-context and sampled
- * replays are checked against their pipeline model too.
+ * --sample-seed). perf and profile replay the recording once through
+ * one pipeline model carrying every pass those outputs need, and check
+ * the calling-context tree and the sampler's clock against it too.
  *
  * Usage errors exit 2. A failed run (the guest does not complete, the
  * heap is exhausted), a conservation mismatch or a collector
@@ -55,9 +56,9 @@
 #include <algorithm>
 #include <cstdio>
 #include <cstdlib>
-#include <fstream>
 #include <iostream>
 #include <memory>
+#include <sstream>
 #include <string>
 #include <vector>
 
@@ -67,6 +68,7 @@
 #include "arch/pipeline/pipeline.h"
 #include "harness/experiment.h"
 #include "isa/trace_io.h"
+#include "obs/attributed.h"
 #include "obs/attribution.h"
 #include "obs/cli.h"
 #include "obs/json.h"
@@ -254,71 +256,72 @@ checkPipeline(const obs::PerfAttribution &perf, const PipelineSim &p)
 }
 
 /**
- * Replay @p rec through the calling-context profiler. The tree's
- * totals and its node sums must partition the pipeline's events and
- * cycles exactly; a mismatch clears @p conserved.
+ * The calling-context tree's totals and its node sums must partition
+ * the events and cycles of the pipeline @p p it rode exactly.
  */
-std::unique_ptr<prof::CctPipeline>
-replayCct(const RecordedRun &rec, bool &conserved)
+bool
+checkCct(const prof::CctBuilder &cct, const PipelineSim &p)
 {
-    auto cct = std::make_unique<prof::CctPipeline>(PipelineConfig{},
-                                                   rec.methods);
-    rec.trace->replay(*cct);
-    const PipelineSim &p = cct->pipeline();
     std::uint64_t nodeCycles = 0;
     std::uint64_t nodeEvents = 0;
-    for (const prof::CctNode &n : cct->cct().nodes()) {
+    for (const prof::CctNode &n : cct.nodes()) {
         nodeCycles += n.cycles();
         nodeEvents += n.events;
     }
-    conserved &= expectEq("cct events", cct->cct().totalEvents(),
-                          p.instructions());
-    conserved &= expectEq("cct cycles", cct->cct().totalCycles(),
-                          p.cycles());
-    conserved &= expectEq("sum(cct node cycles)", nodeCycles, p.cycles());
-    conserved &= expectEq("sum(cct node events)", nodeEvents,
-                          p.instructions());
-    return cct;
+    bool ok = expectEq("cct events", cct.totalEvents(), p.instructions());
+    ok &= expectEq("cct cycles", cct.totalCycles(), p.cycles());
+    ok &= expectEq("sum(cct node cycles)", nodeCycles, p.cycles());
+    return expectEq("sum(cct node events)", nodeEvents, p.instructions())
+        && ok;
 }
 
 /**
- * Replay @p rec through the sampling profiler and print its summary.
- * Sampling is read-only, so the model must agree with @p exact (an
- * unsampled replay's pipeline, when there is one) cycle for cycle.
+ * Print the sampled profile's summary. Its cycle clock must have
+ * advanced by exactly the cycles of the pipeline @p p it rode.
  */
-std::unique_ptr<prof::SamplePipeline>
-replaySample(const RecordedRun &rec, const obs::ObsCli &cli,
-             const PipelineSim *exact, bool &conserved)
+bool
+checkSample(const prof::SamplingProfiler &sampler, const PipelineSim &p)
 {
-    auto sp = std::make_unique<prof::SamplePipeline>(
-        PipelineConfig{}, rec.methods, cli.sampleOptions());
-    rec.trace->replay(*sp);
-    if (exact != nullptr) {
-        conserved &= expectEq("sampled-replay cycles",
-                              sp->pipeline().cycles(), exact->cycles());
-    }
-    std::cout << "\nsampled profile: "
-              << withCommas(sp->sampler().samples()) << " samples (period "
-              << sp->sampler().options().period << ", seed "
-              << sp->sampler().options().seed << ")\n";
-    return sp;
+    std::cout << "\nsampled profile: " << withCommas(sampler.samples())
+              << " samples (period " << sampler.options().period
+              << ", seed " << sampler.options().seed << ")\n";
+    return expectEq("sampled clock", sampler.clockTotal(), p.cycles());
+}
+
+/** Replay @p rec through a calling-context tree of its own. */
+std::vector<prof::FoldedLine>
+replayFolded(const RecordedRun &rec, bool &conserved)
+{
+    prof::CctPipeline cct(PipelineConfig{}, rec.methods);
+    rec.trace->replay(cct);
+    conserved &= checkCct(cct.cct(), cct.pipeline());
+    return cct.cct().foldedLines();
+}
+
+void
+writePerf(const obs::ObsCli &cli, const std::string &label,
+          const obs::PerfAttribution &perf)
+{
+    obs::ReportSet reports(obs::kPerfReportSchema);
+    reports.add(label, perf);
+    cli.writePerf(reports, std::cout);
 }
 
 void
 writeCct(const obs::ObsCli &cli, const std::string &label,
-         const prof::CctPipeline &cct)
+         const prof::CctBuilder &cct)
 {
-    prof::CctReportSet reports;
-    reports.add(label, cct.cct());
+    obs::ReportSet reports(prof::kCctSchema);
+    reports.add(label, cct);
     cli.writeCct(reports, std::cout);
 }
 
 void
 writeSample(const obs::ObsCli &cli, const std::string &label,
-            const prof::SamplePipeline &sp)
+            const prof::SamplingProfiler &sampler)
 {
-    prof::SampleReportSet reports;
-    reports.add(label, sp.sampler());
+    obs::ReportSet reports(prof::kSampleSchema);
+    reports.add(label, sampler);
     cli.writeSample(reports, std::cout);
 }
 
@@ -511,30 +514,35 @@ cmdPerf(const std::string &verb, const obs::RunCli &run,
     popt.timelineWindow = f.window;
     popt.program = &prog;
 
-    // Replay through the chosen model with attribution attached; keep
-    // whichever composite was built alive for the conservation check.
-    std::unique_ptr<obs::AttributedPipeline> pipe;
+    // Replay once. The perf pass rides the chosen model; the
+    // calling-context and sampled passes ride the pipeline, which is
+    // perf's own under --model pipeline.
+    const bool onPipeline = f.model == "pipeline";
     std::unique_ptr<obs::AttributedCaches> caches;
-    if (f.model == "pipeline") {
-        pipe = std::make_unique<obs::AttributedPipeline>(
-            PipelineConfig{}, rec.methods, popt);
-        rec.trace->replay(*pipe);
-    } else {
+    if (!onPipeline) {
         caches = std::make_unique<obs::AttributedCaches>(
             CacheConfig{}, CacheConfig{}, rec.methods, popt);
         rec.trace->replay(*caches);
     }
-    const obs::PerfAttribution &perf =
-        pipe != nullptr ? pipe->perf() : caches->perf();
+    obs::Attributed<PipelineSim> pipe(rec.methods, PipelineConfig{});
+    const obs::PerfAttribution &perf = onPipeline
+        ? pipe.add<obs::PerfAttribution>(popt)
+        : caches->perf();
+    const prof::CctBuilder *cct =
+        cli.cctRequested() ? &pipe.add<prof::CctBuilder>() : nullptr;
+    const prof::SamplingProfiler *sampler = cli.sampleRequested()
+        ? &pipe.add<prof::SamplingProfiler>(cli.sampleOptions())
+        : nullptr;
+    if (onPipeline || cct != nullptr || sampler != nullptr)
+        rec.trace->replay(pipe);
 
     std::cout << run.workload->name << " --mode " << run.mode
               << " --arg " << run.arg << " (" << f.model
               << " model): exit=" << rec.result.exitValue << ", "
               << withCommas(perf.totalEvents()) << " events";
-    if (pipe != nullptr) {
-        std::cout << ", " << withCommas(pipe->pipeline().cycles())
-                  << " cycles, IPC "
-                  << fixed(pipe->pipeline().ipc(), 3);
+    if (onPipeline) {
+        std::cout << ", " << withCommas(pipe.model().cycles())
+                  << " cycles, IPC " << fixed(pipe.model().ipc(), 3);
     }
     if (run.gc.enabled()) {
         std::cout << ", " << gc::collectorName(run.gc.gc.collector)
@@ -587,28 +595,25 @@ cmdPerf(const std::string &verb, const obs::RunCli &run,
         t.print(std::cout);
     }
 
-    bool conserved = pipe != nullptr
-        ? checkPipeline(perf, pipe->pipeline())
+    bool conserved = onPipeline
+        ? checkPipeline(perf, pipe.model())
         : checkL1(perf.totals(), caches->caches().icache(),
                   caches->caches().dcache())
             && checkPartitions(perf);
-    if (cli.cctRequested())
-        writeCct(cli, run.label(), *replayCct(rec, conserved));
-    if (cli.sampleRequested()) {
-        writeSample(cli, run.label(),
-                    *replaySample(rec, cli,
-                                  pipe != nullptr ? &pipe->pipeline()
-                                                  : nullptr,
-                                  conserved));
+    if (cct != nullptr) {
+        conserved &= checkCct(*cct, pipe.model());
+        writeCct(cli, run.label(), *cct);
+    }
+    if (sampler != nullptr) {
+        conserved &= checkSample(*sampler, pipe.model());
+        writeSample(cli, run.label(), *sampler);
     }
     std::cout << "\nconservation vs model aggregates: "
               << (conserved ? "OK" : "FAILED") << '\n';
 
     if (f.window != 0 && !cli.traceJson.empty())
         perf.emitCounterTracks(obs::tracer(), run.workload->name);
-    obs::PerfReportSet reports;
-    reports.add(run.label(), perf);
-    cli.writePerf(reports, std::cout);
+    writePerf(cli, run.label(), perf);
     cli.finish(std::cout);
     return conserved ? 0 : 1;
 }
@@ -616,17 +621,13 @@ cmdPerf(const std::string &verb, const obs::RunCli &run,
 // --- jrs profile -------------------------------------------------------
 
 /** The per-phase tables, verbatim, as one jrs-profile-v1 document. */
-bool
+void
 writeProfileJson(const std::string &path, const obs::RunCli &run,
                  const RunResult &res, const obs::AttributionSink &attr,
                  std::size_t topN)
 {
     using obs::jsonEscape;
-    std::ofstream f(path, std::ios::trunc);
-    if (!f) {
-        std::cerr << "error: cannot write " << path << '\n';
-        return false;
-    }
+    std::ostringstream f;
     f << "{\n  \"schema\": \"jrs-profile-v1\",\n";
     f << "  \"workload\": \"" << run.workload->name << "\",\n";
     f << "  \"mode\": \"" << jsonEscape(run.mode) << "\",\n";
@@ -656,7 +657,7 @@ writeProfileJson(const std::string &path, const obs::RunCli &run,
         f << "    ]}";
     }
     f << "\n  ]\n}\n";
-    return true;
+    obs::writeFile(path, f.str(), "profile JSON");
 }
 
 int
@@ -707,53 +708,57 @@ cmdProfile(const obs::RunCli &run, const obs::ObsCli &cli,
         attr.phaseTable(phase, f.top).print(std::cout);
     }
     if (!f.json.empty()) {
-        if (!writeProfileJson(f.json, run, res, attr, f.top))
-            return 1;
+        writeProfileJson(f.json, run, res, attr, f.top);
         std::cout << "\nwrote " << f.json << '\n';
     }
 
-    if (cli.perfRequested()) {
-        // The same stream through the pipeline with attribution.
-        const Program prog = run.workload->build();
-        obs::PerfOptions popt;
-        popt.program = &prog;
-        obs::AttributedPipeline attributed(PipelineConfig{},
-                                           base.methods, popt);
-        base.trace->replay(attributed);
-        obs::PerfReportSet reports;
-        reports.add(run.label(), attributed.perf());
-        std::cout << '\n';
-        cli.writePerf(reports, std::cout);
-    }
+    // The same stream once more through one pipeline carrying every
+    // attribution pass the outputs need.
+    const Program prog =
+        cli.perfRequested() ? run.workload->build() : Program{};
+    obs::PerfOptions popt;
+    popt.program = &prog;
+    obs::Attributed<PipelineSim> pipe(base.methods, PipelineConfig{});
+    const obs::PerfAttribution *perf = cli.perfRequested()
+        ? &pipe.add<obs::PerfAttribution>(popt)
+        : nullptr;
+    const prof::CctBuilder *cct = cli.cctRequested() || diff
+            || f.calibrate
+        ? &pipe.add<prof::CctBuilder>()
+        : nullptr;
+    const prof::SamplingProfiler *sampler =
+        f.calibrate || cli.sampleRequested()
+        ? &pipe.add<prof::SamplingProfiler>(cli.sampleOptions())
+        : nullptr;
+    if (perf != nullptr || cct != nullptr || sampler != nullptr)
+        base.trace->replay(pipe);
 
-    bool conserved = true;
-    std::unique_ptr<prof::CctPipeline> cct;
-    if (cli.cctRequested() || diff || f.calibrate)
-        cct = replayCct(base, conserved);
+    if (perf != nullptr) {
+        std::cout << '\n';
+        writePerf(cli, run.label(), *perf);
+    }
+    bool conserved = cct == nullptr || checkCct(*cct, pipe.model());
     if (cli.cctRequested())
         writeCct(cli, run.label(), *cct);
     if (diff) {
-        const auto otherCct =
-            replayCct(recordWorkload(other.spec()), conserved);
-        prof::writeFoldedDiff(cct->cct().foldedLines(),
-                              otherCct->cct().foldedLines(),
-                              f.flameDiff);
+        prof::writeFoldedDiff(
+            cct->foldedLines(),
+            replayFolded(recordWorkload(other.spec()), conserved),
+            f.flameDiff);
         std::cout << "wrote " << f.flameDiff << " (" << run.label()
                   << " vs " << other.label() << ")\n";
     }
-    if (f.calibrate || cli.sampleRequested()) {
-        const auto sp = replaySample(
-            base, cli, cct != nullptr ? &cct->pipeline() : nullptr,
-            conserved);
+    if (sampler != nullptr) {
+        conserved &= checkSample(*sampler, pipe.model());
         if (f.calibrate) {
             // Ground truth: the exact profiler over the same stream.
             const prof::CalibrationReport rep =
-                prof::calibrate(cct->cct(), sp->sampler(), f.top);
+                prof::calibrate(*cct, *sampler, f.top);
             std::cout << "\nsampled vs exact (per-method " << rep.value
                       << " shares):\n"
                       << rep.text(f.top);
         }
-        writeSample(cli, run.label(), *sp);
+        writeSample(cli, run.label(), *sampler);
     }
     cli.finish(std::cout);
     return conserved ? 0 : 1;

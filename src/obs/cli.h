@@ -22,8 +22,8 @@
  *       continue;
  *
  * then cli.setup() before running, and cli.finish(std::cout) (plus
- * cli.writePerf(...) when the tool filled a PerfReportSet) on every
- * exit path after the run started.
+ * cli.writePerf/writeCct/writeSample(...) for the ReportSets the tool
+ * filled) on every exit path after the run started.
  */
 #ifndef JRS_OBS_CLI_H
 #define JRS_OBS_CLI_H
@@ -192,7 +192,7 @@ struct ObsCli {
     }
 
     /** Write @p set to the --perf-json path (no-op when not given). */
-    void writePerf(const PerfReportSet &set, std::ostream &out) const {
+    void writePerf(const ReportSet &set, std::ostream &out) const {
         if (perfJson.empty())
             return;
         set.writeJson(perfJson);
@@ -200,8 +200,7 @@ struct ObsCli {
     }
 
     /** Write @p set to the --cct-json/--flame paths requested. */
-    void writeCct(const prof::CctReportSet &set,
-                  std::ostream &out) const {
+    void writeCct(const ReportSet &set, std::ostream &out) const {
         if (!cctJson.empty()) {
             set.writeJson(cctJson);
             out << "wrote " << cctJson << '\n';
@@ -213,8 +212,7 @@ struct ObsCli {
     }
 
     /** Write @p set to the --sample-json path (no-op when not given). */
-    void writeSample(const prof::SampleReportSet &set,
-                     std::ostream &out) const {
+    void writeSample(const ReportSet &set, std::ostream &out) const {
         if (sampleJson.empty())
             return;
         set.writeJson(sampleJson);

@@ -56,6 +56,19 @@ jsonNumber(double v)
     return buf;
 }
 
+void
+writeFile(const std::string &path, const std::string &body,
+          const std::string &what)
+{
+    std::FILE *f = std::fopen(path.c_str(), "w");
+    if (f == nullptr)
+        throw VmError("cannot write " + what + ": " + path);
+    const bool ok =
+        std::fwrite(body.data(), 1, body.size(), f) == body.size();
+    if (std::fclose(f) != 0 || !ok)
+        throw VmError("cannot write " + what + ": " + path);
+}
+
 JsonParser::JsonParser(const std::string &text, std::string what)
     : s_(text), what_(std::move(what))
 {

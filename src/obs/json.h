@@ -15,6 +15,12 @@
  *    (snprintf honors LC_NUMERIC) would otherwise emit invalid JSON,
  *    so any ',' the formatter produced is normalized back to '.'.
  *
+ * writeFile() is the tree's one checked file writer, for these
+ * documents and for every other text artifact (folded stacks, the
+ * trace cache's .methods sidecar): open, write and close are each
+ * checked, so a full disk or an unwritable path is a VmError, never a
+ * silently truncated file.
+ *
  * JsonParser is the tree's one JSON reader (moved here from
  * prof/bench.cpp): a minimal recursive-descent parser covering what
  * the writers above emit — strings, finite numbers, objects, arrays,
@@ -36,6 +42,13 @@ std::string jsonEscape(const std::string &s);
 
 /** See file comment. */
 std::string jsonNumber(double v);
+
+/**
+ * Write @p body to @p path, replacing its contents; see file comment.
+ * Throws VmError("cannot write <what>: <path>") on any failure.
+ */
+void writeFile(const std::string &path, const std::string &body,
+               const std::string &what);
 
 /** See file comment. Throws VmError on malformed input. */
 class JsonParser {

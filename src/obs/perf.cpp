@@ -138,8 +138,8 @@ PerfAttribution::onEvent(const TraceEvent &ev)
 {
     // Flush *before* the event so the outcomes the model fires for it
     // (delivered after this call under the composite ordering) land in
-    // the event's own window. Window boundaries match
-    // TimeSeriesCacheSink exactly (bench/fig06 asserts this).
+    // the event's own window. Window boundaries match the Figure 6
+    // time-series reference (tests/test_perf.cpp asserts this).
     if (opt_.timelineWindow != 0) {
         if (inWindow_ == opt_.timelineWindow)
             flushWindow();
@@ -524,67 +524,6 @@ PerfAttribution::emitCounterTracks(SpanTracer &tracer,
             tracer.recordCounter(std::move(cpi));
         }
     }
-}
-
-void
-PerfReportSet::add(const std::string &label,
-                   const PerfAttribution &perf)
-{
-    std::string body = perf.runJson(label);
-    std::lock_guard<std::mutex> lock(mu_);
-    // Re-observing a label overwrites its report: replay is
-    // bit-identical, so a warm re-run (e.g. --compare-serial passes)
-    // must not duplicate entries.
-    for (auto &run : runs_) {
-        if (run.first == label) {
-            run.second = std::move(body);
-            return;
-        }
-    }
-    runs_.emplace_back(label, std::move(body));
-}
-
-std::size_t
-PerfReportSet::size() const
-{
-    std::lock_guard<std::mutex> lock(mu_);
-    return runs_.size();
-}
-
-std::string
-PerfReportSet::toJson() const
-{
-    std::vector<std::pair<std::string, std::string>> runs;
-    {
-        std::lock_guard<std::mutex> lock(mu_);
-        runs = runs_;
-    }
-    std::sort(runs.begin(), runs.end(),
-              [](const auto &a, const auto &b) {
-                  return a.first < b.first;
-              });
-    std::string out;
-    out += "{\n  \"schema\": \"jrs-perf-report-v1\",\n";
-    out += "  \"runs\": [\n";
-    for (std::size_t i = 0; i < runs.size(); ++i) {
-        out += runs[i].second;
-        out += i + 1 < runs.size() ? ",\n" : "\n";
-    }
-    out += "  ]\n}\n";
-    return out;
-}
-
-void
-PerfReportSet::writeJson(const std::string &path) const
-{
-    const std::string body = toJson();
-    std::FILE *f = std::fopen(path.c_str(), "w");
-    if (f == nullptr)
-        throw VmError("cannot write perf JSON: " + path);
-    const bool ok =
-        std::fwrite(body.data(), 1, body.size(), f) == body.size();
-    if (std::fclose(f) != 0 || !ok)
-        throw VmError("cannot write perf JSON: " + path);
 }
 
 } // namespace jrs::obs

@@ -20,21 +20,18 @@
  *    miss/mispredict counts and CPI-stack slices, the Figure 6 curve
  *    generalized to every event kind.
  *
- * Ordering contract: the attribution must observe each TraceEvent
- * *before* the model processes it, so the outcomes the model fires
- * mid-access land in the context (method, opcode, window) of that
- * event. The AttributedPipeline / AttributedCaches composites wire
- * this up; use them rather than a plain MultiSink (whose delivery
- * order would also work front-to-back, but the composites also own
- * the listener hookup).
+ * The pass must observe each TraceEvent before the model does; the
+ * composite in obs/attributed.h wires that up (AttributedPipeline and
+ * AttributedCaches below are its single-pass spellings).
  *
  * Conservation (tested in tests/test_perf.cpp): per-method access
  * counts sum to the model's aggregate stats bit-for-bit, and
  * per-method CPI components sum exactly to PipelineSim::cycles().
  *
  * Reports render as tables (report/annotate views), as one stable
- * JSON document (schema "jrs-perf-report-v1", see DESIGN.md), and as
- * Perfetto counter tracks via SpanTracer::recordCounter.
+ * JSON document (schema "jrs-perf-report-v1", see DESIGN.md; collect
+ * runs in a ReportSet, obs/report_set.h), and as Perfetto counter
+ * tracks via SpanTracer::recordCounter.
  */
 #ifndef JRS_OBS_PERF_H
 #define JRS_OBS_PERF_H
@@ -42,20 +39,24 @@
 #include <cstdint>
 #include <map>
 #include <memory>
-#include <mutex>
 #include <string>
 #include <vector>
 
 #include "arch/cache/cache.h"
 #include "arch/outcome.h"
 #include "arch/pipeline/pipeline.h"
+#include "obs/attributed.h"
 #include "obs/attribution.h"
+#include "obs/report_set.h"
 #include "obs/spans.h"
 #include "support/table.h"
 #include "vm/bytecode/class_def.h"
 #include "vm/bytecode/opcode.h"
 
 namespace jrs::obs {
+
+/** Schema name of the ReportSet document PerfAttribution runs fill. */
+inline constexpr const char *kPerfReportSchema = "jrs-perf-report-v1";
 
 /** Accumulated microarchitectural stats for one attribution bucket. */
 struct PerfCell {
@@ -114,14 +115,14 @@ struct PerfOptions {
 };
 
 /** See file comment. */
-class PerfAttribution : public TraceSink, public OutcomeListener {
+class PerfAttribution final : public AttributionPass {
   public:
     using Options = PerfOptions;
 
     /** @p map must outlive the sink. */
     explicit PerfAttribution(const MethodMap &map, Options opt = {});
 
-    // --- TraceSink (subscribe *before* the model; see file comment)
+    // --- TraceSink (observes each event before the model)
     void onEvent(const TraceEvent &ev) override;
     void onFinish() override;
 
@@ -239,98 +240,43 @@ class PerfAttribution : public TraceSink, public OutcomeListener {
 };
 
 /**
- * Self-contained sweep/bench sink: a PipelineSim observed by a
- * PerfAttribution, with the ordering contract wired up. The MethodMap
- * is shared so the composite can outlive the run that built it
- * (sweep replay).
+ * A PipelineSim observed by one PerfAttribution: the single-pass
+ * spelling of Attributed (obs/attributed.h) that sweeps and benches
+ * construct.
  */
-class AttributedPipeline final : public TraceSink {
+class AttributedPipeline final
+    : public Attributed<PipelineSim, PerfAttribution> {
   public:
     AttributedPipeline(PipelineConfig cfg,
                        std::shared_ptr<const MethodMap> map,
                        PerfAttribution::Options opt = {})
-        : map_(std::move(map)), pipe_(cfg), perf_(*map_, opt)
-    {
-        pipe_.setListener(&perf_);
-    }
+        : Attributed(std::move(map), cfg), perf_(add(opt)) {}
 
-    void onEvent(const TraceEvent &ev) override {
-        perf_.onEvent(ev);
-        pipe_.onEvent(ev);
-    }
-    /** Event-major: the ordering contract holds inside a block. */
-    void onEvents(const TraceEvent *evs, std::size_t n) override {
-        for (std::size_t i = 0; i < n; ++i) {
-            perf_.onEvent(evs[i]);
-            pipe_.onEvent(evs[i]);
-        }
-    }
-    void onFinish() override { perf_.onFinish(); }
-
-    PipelineSim &pipeline() { return pipe_; }
-    const PipelineSim &pipeline() const { return pipe_; }
+    PipelineSim &pipeline() { return model(); }
+    const PipelineSim &pipeline() const { return model(); }
     PerfAttribution &perf() { return perf_; }
     const PerfAttribution &perf() const { return perf_; }
 
   private:
-    std::shared_ptr<const MethodMap> map_;
-    PipelineSim pipe_;
-    PerfAttribution perf_;
+    PerfAttribution &perf_;
 };
 
 /** As AttributedPipeline, for a bare split L1 (no pipeline model). */
-class AttributedCaches : public TraceSink {
+class AttributedCaches final
+    : public Attributed<CacheSink, PerfAttribution> {
   public:
     AttributedCaches(CacheConfig icfg, CacheConfig dcfg,
                      std::shared_ptr<const MethodMap> map,
                      PerfAttribution::Options opt = {})
-        : map_(std::move(map)), caches_(icfg, dcfg), perf_(*map_, opt)
-    {
-        caches_.setListener(&perf_);
-    }
+        : Attributed(std::move(map), icfg, dcfg), perf_(add(opt)) {}
 
-    void onEvent(const TraceEvent &ev) override {
-        perf_.onEvent(ev);
-        caches_.onEvent(ev);
-    }
-    void onFinish() override { perf_.onFinish(); }
-
-    CacheSink &caches() { return caches_; }
-    const CacheSink &caches() const { return caches_; }
+    CacheSink &caches() { return model(); }
+    const CacheSink &caches() const { return model(); }
     PerfAttribution &perf() { return perf_; }
     const PerfAttribution &perf() const { return perf_; }
 
   private:
-    std::shared_ptr<const MethodMap> map_;
-    CacheSink caches_;
-    PerfAttribution perf_;
-};
-
-/**
- * Thread-safe collection of labeled run reports, rendered as one
- * "jrs-perf-report-v1" document. Runs are sorted by label so the
- * output is stable regardless of which sweep worker finished first.
- */
-class PerfReportSet {
-  public:
-    /**
-     * Snapshot @p perf's report under @p label. Re-adding a label
-     * replaces its snapshot (replay is bit-identical, so re-observing
-     * a stream must not duplicate entries).
-     */
-    void add(const std::string &label, const PerfAttribution &perf);
-
-    std::size_t size() const;
-
-    /** The full document. */
-    std::string toJson() const;
-
-    /** Write toJson() to @p path; throws VmError on I/O failure. */
-    void writeJson(const std::string &path) const;
-
-  private:
-    mutable std::mutex mu_;
-    std::vector<std::pair<std::string, std::string>> runs_;
+    PerfAttribution &perf_;
 };
 
 } // namespace jrs::obs

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cctype>
 #include <cstdio>
+#include <filesystem>
 #include <fstream>
 #include <map>
 #include <sstream>
@@ -28,6 +29,17 @@ numField(const JsonParser::Value &obj, const char *name)
                                   "field \"") +
                       name + "\"");
     return f->num;
+}
+
+/**
+ * Only regular files are read: a device or FIFO opens fine but may
+ * never end (/dev/zero streams zeros until memory runs out).
+ */
+bool
+isRegularFile(const std::string &path)
+{
+    std::error_code ec;
+    return std::filesystem::is_regular_file(path, ec);
 }
 
 } // namespace
@@ -109,10 +121,7 @@ BenchReport::toJson() const
 void
 BenchReport::writeJson(const std::string &path) const
 {
-    std::ofstream f(path, std::ios::trunc);
-    if (!f)
-        throw VmError("cannot write bench report: " + path);
-    f << toJson();
+    obs::writeFile(path, toJson(), "bench report");
 }
 
 BenchReport
@@ -158,6 +167,8 @@ BenchReport::parse(const std::string &json)
 BenchReport
 BenchReport::load(const std::string &path)
 {
+    if (!isRegularFile(path))
+        throw VmError("bench report is not a regular file: " + path);
     std::ifstream f(path);
     if (!f)
         throw VmError("cannot read bench report: " + path);
@@ -170,9 +181,7 @@ BenchReport
 BenchReport::loadOrEmpty(const std::string &path,
                          const std::string &suite)
 {
-    std::ifstream probe(path);
-    if (probe) {
-        probe.close();
+    if (isRegularFile(path)) {
         try {
             BenchReport rep = load(path);
             if (rep.suite == suite)

@@ -66,13 +66,17 @@ struct BenchReport {
     /** Parse a jrs-bench-v1 document; throws VmError on mismatch. */
     static BenchReport parse(const std::string &json);
 
-    /** Parse the file at @p path; throws VmError. */
+    /**
+     * Parse the file at @p path; throws VmError, also when @p path is
+     * not a regular file (a device such as /dev/zero never ends).
+     */
     static BenchReport load(const std::string &path);
 
     /**
-     * Load @p path if it exists and carries @p suite; otherwise an
-     * empty report with that suite name. Lets the sweep benches
-     * append their trajectory entry without a separate bootstrap.
+     * Load @p path if it is a regular file carrying @p suite (any
+     * other path is never read); otherwise an empty report with that
+     * suite name. Lets the sweep benches append their trajectory
+     * entry without a separate bootstrap.
      */
     static BenchReport loadOrEmpty(const std::string &path,
                                    const std::string &suite);

@@ -1,12 +1,10 @@
 #include "prof/cct.h"
 
 #include <algorithm>
-#include <fstream>
 #include <map>
 #include <sstream>
 
 #include "obs/json.h"
-#include "vm/runtime/vm_error.h"
 
 namespace jrs::prof {
 
@@ -256,93 +254,6 @@ CctBuilder::runJson(const std::string &label) const
     return os.str();
 }
 
-void
-CctReportSet::add(const std::string &label, const CctBuilder &cct)
-{
-    Snapshot snap{cct.runJson(label), cct.foldedLines()};
-    const std::lock_guard<std::mutex> lock(mu_);
-    for (auto &r : runs_) {
-        if (r.first == label) {
-            r.second = std::move(snap);
-            return;
-        }
-    }
-    runs_.emplace_back(label, std::move(snap));
-}
-
-std::size_t
-CctReportSet::size() const
-{
-    const std::lock_guard<std::mutex> lock(mu_);
-    return runs_.size();
-}
-
-std::string
-CctReportSet::toJson() const
-{
-    std::vector<std::pair<std::string, Snapshot>> runs;
-    {
-        const std::lock_guard<std::mutex> lock(mu_);
-        runs = runs_;
-    }
-    std::sort(runs.begin(), runs.end(),
-              [](const auto &a, const auto &b) {
-                  return a.first < b.first;
-              });
-    std::string out;
-    out += "{\n  \"schema\": \"jrs-cct-v1\",\n  \"runs\": [\n";
-    for (std::size_t i = 0; i < runs.size(); ++i) {
-        out += runs[i].second.json;
-        out += i + 1 < runs.size() ? ",\n" : "\n";
-    }
-    out += "  ]\n}\n";
-    return out;
-}
-
-void
-CctReportSet::writeJson(const std::string &path) const
-{
-    std::ofstream f(path, std::ios::trunc);
-    if (!f)
-        throw VmError("cannot write CCT report: " + path);
-    f << toJson();
-}
-
-void
-CctReportSet::writeFolded(const std::string &path) const
-{
-    std::vector<std::pair<std::string, Snapshot>> runs;
-    {
-        const std::lock_guard<std::mutex> lock(mu_);
-        runs = runs_;
-    }
-    std::sort(runs.begin(), runs.end(),
-              [](const auto &a, const auto &b) {
-                  return a.first < b.first;
-              });
-    std::ofstream f(path, std::ios::trunc);
-    if (!f)
-        throw VmError("cannot write folded stacks: " + path);
-    for (const auto &[label, snap] : runs) {
-        for (const FoldedLine &l : snap.folded) {
-            if (runs.size() > 1)
-                f << label << ';';
-            f << l.stack << ' ' << l.value << '\n';
-        }
-    }
-}
-
-std::vector<FoldedLine>
-CctReportSet::folded(const std::string &label) const
-{
-    const std::lock_guard<std::mutex> lock(mu_);
-    for (const auto &[l, snap] : runs_) {
-        if (l == label)
-            return snap.folded;
-    }
-    return {};
-}
-
 std::string
 foldedDiff(const std::vector<FoldedLine> &a,
            const std::vector<FoldedLine> &b)
@@ -369,10 +280,7 @@ writeFoldedDiff(const std::vector<FoldedLine> &a,
                 const std::vector<FoldedLine> &b,
                 const std::string &path)
 {
-    std::ofstream f(path, std::ios::trunc);
-    if (!f)
-        throw VmError("cannot write folded diff: " + path);
-    f << foldedDiff(a, b);
+    obs::writeFile(path, foldedDiff(a, b), "folded diff");
 }
 
 } // namespace jrs::prof

@@ -28,7 +28,8 @@
  * resolves a MethodMap row.
  *
  * Output: one stable "jrs-cct-v1" JSON document (schema in DESIGN.md
- * §10), Brendan-Gregg folded-stack text (`a;b;c_[i] 123` — the leaf
+ * §10; collect runs in an obs::ReportSet), Brendan-Gregg folded-stack
+ * text (`a;b;c_[i] 123` — the leaf
  * frame carries a phase suffix: _[i] interpret, _[t] translate,
  * _[j] native/JIT, _[r] runtime, _[gc] collector), and a two-run
  * differential folded output (`stack valueA valueB`, the difffolded
@@ -39,18 +40,23 @@
 
 #include <cstdint>
 #include <memory>
-#include <mutex>
-#include <ostream>
 #include <string>
 #include <vector>
 
 #include "arch/outcome.h"
 #include "arch/pipeline/pipeline.h"
 #include "isa/trace.h"
+#include "obs/attributed.h"
 #include "obs/attribution.h"
+#include "obs/report_set.h"
 #include "prof/frame_tracker.h"
 
 namespace jrs::prof {
+
+using obs::FoldedLine;
+
+/** Schema name of the obs::ReportSet document CctBuilder runs fill. */
+inline constexpr const char *kCctSchema = "jrs-cct-v1";
 
 /** One calling context: a path of frames from the root. */
 struct CctNode {
@@ -86,12 +92,6 @@ struct CctOptions {
     std::size_t maxDepth = 1024;
 };
 
-/** One folded-stack output line (before rendering). */
-struct FoldedLine {
-    std::string stack;     ///< "frame;frame;leaf_[suffix]"
-    std::uint64_t value;   ///< self cycles (or events, see foldedLines)
-};
-
 /**
  * Folded-stack phase suffix for phase index @p p: "_[i]" interpret,
  * "_[t]" translate, "_[j]" native/JIT, "_[r]" runtime, "_[gc]"
@@ -101,14 +101,14 @@ struct FoldedLine {
 const char *foldedPhaseSuffix(std::size_t p);
 
 /** See file comment. */
-class CctBuilder : public TraceSink, public OutcomeListener {
+class CctBuilder final : public obs::AttributionPass {
   public:
     using Options = CctOptions;
 
     /** @p map must outlive the builder. */
     explicit CctBuilder(const obs::MethodMap &map, Options opt = {});
 
-    // --- TraceSink (subscribe *before* the model, like PerfAttribution)
+    // --- TraceSink (observes each event before the model)
     void onEvent(const TraceEvent &ev) override;
     void onFinish() override {}
 
@@ -186,81 +186,24 @@ class CctBuilder : public TraceSink, public OutcomeListener {
 };
 
 /**
- * Self-contained sweep/bench sink: a PipelineSim observed by a
- * CctBuilder, with the subscribe-before-model ordering and the
- * listener hookup wired (the AttributedPipeline pattern). The
- * MethodMap is shared so the composite can outlive the run that
- * built it (sweep replay).
+ * A PipelineSim observed by one CctBuilder: the single-pass spelling
+ * of obs::Attributed (obs/attributed.h) that benches construct.
  */
-class CctPipeline final : public TraceSink {
+class CctPipeline final
+    : public obs::Attributed<PipelineSim, CctBuilder> {
   public:
     CctPipeline(PipelineConfig cfg,
                 std::shared_ptr<const obs::MethodMap> map,
                 CctOptions opt = {})
-        : map_(std::move(map)), pipe_(cfg), cct_(*map_, opt)
-    {
-        pipe_.setListener(&cct_);
-    }
+        : Attributed(std::move(map), cfg), cct_(add(opt)) {}
 
-    void onEvent(const TraceEvent &ev) override {
-        cct_.onEvent(ev);
-        pipe_.onEvent(ev);
-    }
-    /** Event-major: the ordering contract holds inside a block. */
-    void onEvents(const TraceEvent *evs, std::size_t n) override {
-        for (std::size_t i = 0; i < n; ++i) {
-            cct_.onEvent(evs[i]);
-            pipe_.onEvent(evs[i]);
-        }
-    }
-    void onFinish() override { cct_.onFinish(); }
-
-    PipelineSim &pipeline() { return pipe_; }
-    const PipelineSim &pipeline() const { return pipe_; }
+    PipelineSim &pipeline() { return model(); }
+    const PipelineSim &pipeline() const { return model(); }
     CctBuilder &cct() { return cct_; }
     const CctBuilder &cct() const { return cct_; }
 
   private:
-    std::shared_ptr<const obs::MethodMap> map_;
-    PipelineSim pipe_;
-    CctBuilder cct_;
-};
-
-/**
- * Thread-safe collection of labeled CCT snapshots, rendered as one
- * "jrs-cct-v1" document and/or one folded-stack file. Runs are
- * sorted by label so output is stable regardless of which sweep
- * worker finished first. Re-adding a label replaces its snapshot.
- */
-class CctReportSet {
-  public:
-    void add(const std::string &label, const CctBuilder &cct);
-
-    std::size_t size() const;
-
-    /** The full "jrs-cct-v1" document. */
-    std::string toJson() const;
-
-    /** Write toJson() to @p path; throws VmError on I/O failure. */
-    void writeJson(const std::string &path) const;
-
-    /**
-     * Write all runs' folded lines to @p path. With more than one
-     * run each stack is prefixed with its run label as the outermost
-     * frame, so one flamegraph shows the runs side by side.
-     */
-    void writeFolded(const std::string &path) const;
-
-    /** Folded lines of run @p label (empty when absent). */
-    std::vector<FoldedLine> folded(const std::string &label) const;
-
-  private:
-    struct Snapshot {
-        std::string json;
-        std::vector<FoldedLine> folded;
-    };
-    mutable std::mutex mu_;
-    std::vector<std::pair<std::string, Snapshot>> runs_;
+    CctBuilder &cct_;
 };
 
 /**

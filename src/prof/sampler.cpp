@@ -2,14 +2,12 @@
 
 #include <algorithm>
 #include <cmath>
-#include <fstream>
 #include <map>
 #include <set>
 #include <sstream>
 
 #include "obs/json.h"
 #include "support/statistics.h"
-#include "vm/runtime/vm_error.h"
 
 namespace jrs::prof {
 
@@ -270,94 +268,6 @@ SamplingProfiler::runJson(const std::string &label) const
     os << "      ]\n";
     os << "    }";
     return os.str();
-}
-
-void
-SampleReportSet::add(const std::string &label,
-                     const SamplingProfiler &s)
-{
-    Snapshot snap{s.runJson(label), s.foldedLines()};
-    const std::lock_guard<std::mutex> lock(mu_);
-    for (auto &r : runs_) {
-        if (r.first == label) {
-            r.second = std::move(snap);
-            return;
-        }
-    }
-    runs_.emplace_back(label, std::move(snap));
-}
-
-std::size_t
-SampleReportSet::size() const
-{
-    const std::lock_guard<std::mutex> lock(mu_);
-    return runs_.size();
-}
-
-std::string
-SampleReportSet::toJson() const
-{
-    std::vector<std::pair<std::string, Snapshot>> runs;
-    {
-        const std::lock_guard<std::mutex> lock(mu_);
-        runs = runs_;
-    }
-    std::sort(runs.begin(), runs.end(),
-              [](const auto &a, const auto &b) {
-                  return a.first < b.first;
-              });
-    std::string out;
-    out += "{\n  \"schema\": \"jrs-sample-v1\",\n  \"runs\": [\n";
-    for (std::size_t i = 0; i < runs.size(); ++i) {
-        out += runs[i].second.json;
-        out += i + 1 < runs.size() ? ",\n" : "\n";
-    }
-    out += "  ]\n}\n";
-    return out;
-}
-
-void
-SampleReportSet::writeJson(const std::string &path) const
-{
-    std::ofstream f(path, std::ios::trunc);
-    if (!f)
-        throw VmError("cannot write sample report: " + path);
-    f << toJson();
-}
-
-void
-SampleReportSet::writeFolded(const std::string &path) const
-{
-    std::vector<std::pair<std::string, Snapshot>> runs;
-    {
-        const std::lock_guard<std::mutex> lock(mu_);
-        runs = runs_;
-    }
-    std::sort(runs.begin(), runs.end(),
-              [](const auto &a, const auto &b) {
-                  return a.first < b.first;
-              });
-    std::ofstream f(path, std::ios::trunc);
-    if (!f)
-        throw VmError("cannot write folded samples: " + path);
-    for (const auto &[label, snap] : runs) {
-        for (const FoldedLine &l : snap.folded) {
-            if (runs.size() > 1)
-                f << label << ';';
-            f << l.stack << ' ' << l.value << '\n';
-        }
-    }
-}
-
-std::vector<FoldedLine>
-SampleReportSet::folded(const std::string &label) const
-{
-    const std::lock_guard<std::mutex> lock(mu_);
-    for (const auto &[l, snap] : runs_) {
-        if (l == label)
-            return snap.folded;
-    }
-    return {};
 }
 
 double

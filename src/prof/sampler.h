@@ -18,8 +18,8 @@
  * gaps uniform in [period/2, period/2 + period) — jitter breaks
  * lockstep with loop periodicity, the fixed seed keeps every run
  * bit-reproducible. The sampling clock advances in simulated cycles
- * when the profiler is wired to a pipeline model (SamplePipeline;
- * one CpiSample per retired instruction) and in events otherwise.
+ * when the profiler rides a pipeline model (obs::Attributed; one
+ * CpiSample per retired instruction) and in events otherwise.
  * When the clock crosses a threshold the current stack is interned
  * into a sampled CCT and the sample is tagged with the event's phase
  * and opcode kind. Samples attribute at the same point the exact
@@ -38,16 +38,14 @@
  * metrics are testable on hand-built profiles.
  *
  * Output: one stable "jrs-sample-v1" JSON document (schema in
- * DESIGN.md §11) and folded-flamegraph text via SampleReportSet,
- * same conventions as prof/cct.h.
+ * DESIGN.md §11) and folded-flamegraph text, collected in an
+ * obs::ReportSet with the same conventions as prof/cct.h.
  */
 #ifndef JRS_PROF_SAMPLER_H
 #define JRS_PROF_SAMPLER_H
 
 #include <cstdint>
 #include <memory>
-#include <mutex>
-#include <ostream>
 #include <string>
 #include <utility>
 #include <vector>
@@ -62,6 +60,9 @@
 
 namespace jrs::prof {
 
+/** Schema name of the obs::ReportSet document sampled runs fill. */
+inline constexpr const char *kSampleSchema = "jrs-sample-v1";
+
 /** Default --sample-period when output is requested without one. */
 inline constexpr std::uint64_t kDefaultSamplePeriod = 4096;
 
@@ -75,8 +76,10 @@ struct SampleOptions {
     std::size_t maxDepth = 1024;
     /**
      * When true the clock advances by each retired instruction's
-     * CpiSample cycles (requires wiring onRetire to the model —
-     * SamplePipeline does); when false, by one per trace event.
+     * CpiSample cycles (requires riding a PipelineSim, whose
+     * onRetire drives it); when false, by one per trace event. A
+     * sampler on a pipeline model must use the cycle clock:
+     * SamplePipeline forces it and ObsCli::sampleOptions() sets it.
      */
     bool cycleClock = false;
 };
@@ -107,7 +110,7 @@ struct SampleNode {
 };
 
 /** See file comment. */
-class SamplingProfiler : public TraceSink, public OutcomeListener {
+class SamplingProfiler final : public obs::AttributionPass {
   public:
     using Options = SampleOptions;
 
@@ -115,11 +118,11 @@ class SamplingProfiler : public TraceSink, public OutcomeListener {
     explicit SamplingProfiler(const obs::MethodMap &map,
                               Options opt = {});
 
-    // --- TraceSink (subscribe *before* the model, like CctBuilder)
+    // --- TraceSink (observes each event before the model)
     void onEvent(const TraceEvent &ev) override;
     void onFinish() override {}
 
-    // --- OutcomeListener (wired by SamplePipeline; cycle clock only)
+    // --- OutcomeListener (drives the cycle clock only)
     void onRetire(const CpiSample &s) override;
 
     /** All nodes; index 0 is the root. Parent/kids index into this. */
@@ -185,38 +188,21 @@ class SamplingProfiler : public TraceSink, public OutcomeListener {
 };
 
 /**
- * Self-contained sweep/bench sink: a PipelineSim observed by a
- * SamplingProfiler on the cycle clock, with the subscribe-before-
- * model ordering and the listener hookup wired (the CctPipeline
- * pattern). The MethodMap is shared so the composite can outlive the
- * run that built it (sweep replay).
+ * A PipelineSim observed by one SamplingProfiler on the cycle clock:
+ * the single-pass spelling of obs::Attributed (obs/attributed.h) that
+ * benches construct.
  */
-class SamplePipeline final : public TraceSink {
+class SamplePipeline final
+    : public obs::Attributed<PipelineSim, SamplingProfiler> {
   public:
     SamplePipeline(PipelineConfig cfg,
                    std::shared_ptr<const obs::MethodMap> map,
                    SampleOptions opt = {})
-        : map_(std::move(map)), pipe_(cfg),
-          sampler_(*map_, cycleClocked(opt))
-    {
-        pipe_.setListener(&sampler_);
-    }
+        : Attributed(std::move(map), cfg),
+          sampler_(add(cycleClocked(opt))) {}
 
-    void onEvent(const TraceEvent &ev) override {
-        sampler_.onEvent(ev);
-        pipe_.onEvent(ev);
-    }
-    /** Event-major: the ordering contract holds inside a block. */
-    void onEvents(const TraceEvent *evs, std::size_t n) override {
-        for (std::size_t i = 0; i < n; ++i) {
-            sampler_.onEvent(evs[i]);
-            pipe_.onEvent(evs[i]);
-        }
-    }
-    void onFinish() override { sampler_.onFinish(); }
-
-    PipelineSim &pipeline() { return pipe_; }
-    const PipelineSim &pipeline() const { return pipe_; }
+    PipelineSim &pipeline() { return model(); }
+    const PipelineSim &pipeline() const { return model(); }
     SamplingProfiler &sampler() { return sampler_; }
     const SamplingProfiler &sampler() const { return sampler_; }
 
@@ -226,43 +212,7 @@ class SamplePipeline final : public TraceSink {
         return opt;
     }
 
-    std::shared_ptr<const obs::MethodMap> map_;
-    PipelineSim pipe_;
-    SamplingProfiler sampler_;
-};
-
-/**
- * Thread-safe collection of labeled sampled-profile snapshots,
- * rendered as one "jrs-sample-v1" document and/or one folded-stack
- * file; same conventions as CctReportSet (runs sorted by label,
- * re-adding a label replaces its snapshot).
- */
-class SampleReportSet {
-  public:
-    void add(const std::string &label, const SamplingProfiler &s);
-
-    std::size_t size() const;
-
-    /** The full "jrs-sample-v1" document. */
-    std::string toJson() const;
-
-    /** Write toJson() to @p path; throws VmError on I/O failure. */
-    void writeJson(const std::string &path) const;
-
-    /** Write all runs' folded lines to @p path (label-prefixed when
-     * more than one run, like CctReportSet::writeFolded). */
-    void writeFolded(const std::string &path) const;
-
-    /** Folded lines of run @p label (empty when absent). */
-    std::vector<FoldedLine> folded(const std::string &label) const;
-
-  private:
-    struct Snapshot {
-        std::string json;
-        std::vector<FoldedLine> folded;
-    };
-    mutable std::mutex mu_;
-    std::vector<std::pair<std::string, Snapshot>> runs_;
+    SamplingProfiler &sampler_;
 };
 
 /** One method's exact-vs-sampled share comparison. */

@@ -3,6 +3,7 @@
 #include <cstdio>
 #include <filesystem>
 
+#include "obs/json.h"
 #include "obs/obs.h"
 #include "vm/runtime/vm_error.h"
 
@@ -116,19 +117,15 @@ void
 writeMeta(const std::string &path, const std::string &key,
           const RunResult &result)
 {
-    std::FILE *f = std::fopen(path.c_str(), "w");
-    if (f == nullptr)
-        throw VmError("cannot write trace meta: " + path);
-    const bool ok =
-        std::fprintf(
-            f, "key=%s\nexit=%d\nevents=%llu\nfreeb=%llu\nfreex=%llu\n",
-            key.c_str(), result.exitValue,
-            static_cast<unsigned long long>(result.totalEvents),
-            static_cast<unsigned long long>(result.codeCacheFreeBytes),
-            static_cast<unsigned long long>(result.codeCacheFreeExtents))
-        > 0;
-    if (std::fclose(f) != 0 || !ok)
-        throw VmError("cannot write trace meta: " + path);
+    obs::writeFile(path,
+                   "key=" + key + "\nexit="
+                       + std::to_string(result.exitValue) + "\nevents="
+                       + std::to_string(result.totalEvents) + "\nfreeb="
+                       + std::to_string(result.codeCacheFreeBytes)
+                       + "\nfreex="
+                       + std::to_string(result.codeCacheFreeExtents)
+                       + "\n",
+                   "trace meta");
 }
 
 /** @return false when the sidecar is missing or does not match. */
@@ -187,13 +184,7 @@ writeMethods(const std::string &path, const obs::MethodMap &map)
         body += name;
         body += '\n';
     });
-    std::FILE *f = std::fopen(path.c_str(), "w");
-    if (f == nullptr)
-        throw VmError("cannot write trace methods: " + path);
-    const bool ok =
-        std::fwrite(body.data(), 1, body.size(), f) == body.size();
-    if (std::fclose(f) != 0 || !ok)
-        throw VmError("cannot write trace methods: " + path);
+    obs::writeFile(path, body, "trace methods");
 }
 
 /** @return null when the sidecar is missing or malformed. */

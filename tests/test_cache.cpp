@@ -7,7 +7,7 @@
 #include <vector>
 
 #include "arch/cache/cache.h"
-#include "arch/cache/time_series.h"
+#include "obs/perf.h"
 #include "vm/runtime/vm_error.h"
 
 namespace jrs {
@@ -308,10 +308,27 @@ TEST(CacheSink, RoutesIAndDAccesses)
     EXPECT_EQ(sink.icache().stats().accesses(), 3u);
 }
 
+/** A split L1 with a Figure 6 timeline of @p window events. */
+obs::AttributedCaches
+timeline(std::uint64_t window)
+{
+    obs::PerfOptions popt;
+    popt.timelineWindow = window;
+    return obs::AttributedCaches({1024, 32, 1, true},
+                                 {1024, 32, 1, true},
+                                 std::make_shared<const obs::MethodMap>(),
+                                 popt);
+}
+
+std::uint64_t
+bad(const obs::IntervalSample &s, PerfKind k)
+{
+    return s.bad[static_cast<std::size_t>(k)];
+}
+
 TEST(TimeSeries, WindowsPartitionTheRun)
 {
-    TimeSeriesCacheSink ts({1024, 32, 1, true}, {1024, 32, 1, true},
-                           100);
+    obs::AttributedCaches ts = timeline(100);
     TraceEvent ev;
     ev.kind = NKind::Load;
     for (int i = 0; i < 250; ++i) {
@@ -320,26 +337,31 @@ TEST(TimeSeries, WindowsPartitionTheRun)
         ts.onEvent(ev);
     }
     ts.onFinish();
-    ASSERT_EQ(ts.samples().size(), 3u);  // 100 + 100 + 50
+    const auto &samples = ts.perf().timeline();
+    ASSERT_EQ(samples.size(), 3u);  // 100 + 100 + 50
     std::uint64_t d_total = 0;
-    for (const MissSample &s : ts.samples())
-        d_total += s.dMisses;
-    EXPECT_EQ(d_total, ts.dcache().stats().misses());
+    for (const obs::IntervalSample &s : samples) {
+        d_total += bad(s, PerfKind::DCacheLoad)
+            + bad(s, PerfKind::DCacheStore);
+    }
+    EXPECT_EQ(d_total, ts.caches().dcache().stats().misses());
 }
 
 TEST(TimeSeries, TranslatePhaseCounted)
 {
-    TimeSeriesCacheSink ts({1024, 32, 1, true}, {1024, 32, 1, true},
-                           10);
+    obs::AttributedCaches ts = timeline(10);
     TraceEvent ev;
     ev.kind = NKind::Store;
     ev.phase = Phase::Translate;
     ev.mem = 0x9000;
     for (int i = 0; i < 10; ++i)
         ts.onEvent(ev);
-    ASSERT_EQ(ts.samples().size(), 1u);
-    EXPECT_EQ(ts.samples()[0].translateEvents, 10u);
-    EXPECT_GE(ts.samples()[0].dWriteMisses, 1u);
+    // A window closes before the event after it, or at the end.
+    ts.onFinish();
+    const auto &samples = ts.perf().timeline();
+    ASSERT_EQ(samples.size(), 1u);
+    EXPECT_EQ(samples[0].translateEvents, 10u);
+    EXPECT_GE(bad(samples[0], PerfKind::DCacheStore), 1u);
 }
 
 } // namespace

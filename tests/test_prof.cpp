@@ -355,7 +355,7 @@ TEST(Cct, ReportSetRendersStableJsonAndFoldedPrefixes)
     prof::CctPipeline sink(PipelineConfig{}, rec.methods);
     rec.trace->replay(sink);
 
-    prof::CctReportSet reports;
+    obs::ReportSet reports(prof::kCctSchema);
     reports.add("b-run", sink.cct());
     reports.add("a-run", sink.cct());
     reports.add("a-run", sink.cct());  // replace, not duplicate
@@ -497,6 +497,19 @@ TEST(Bench, LoadOrEmptyRestartsForeignFiles)
         path, "vm");
     ASSERT_EQ(back.runs.size(), 1u);
     EXPECT_EQ(back.runs[0].events, 42u);
+}
+
+TEST(Bench, NonRegularFilesAreNeverRead)
+{
+    // /dev/zero opens fine but never ends: load() must refuse it
+    // before reading, and loadOrEmpty() must start afresh.
+    EXPECT_THROW((void)prof::BenchReport::load("/dev/zero"), VmError);
+    EXPECT_TRUE(
+        prof::BenchReport::loadOrEmpty("/dev/zero", "vm").runs.empty());
+    // So does a directory.
+    EXPECT_THROW((void)prof::BenchReport::load(
+                     std::string(::testing::TempDir())),
+                 VmError);
 }
 
 } // namespace

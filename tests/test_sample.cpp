@@ -35,9 +35,11 @@
 #include "harness/experiment.h"
 #include "isa/address_map.h"
 #include "isa/trace_buffer.h"
+#include "obs/attributed.h"
 #include "obs/attribution.h"
 #include "obs/cli.h"
 #include "obs/json.h"
+#include "obs/perf.h"
 #include "prof/cct.h"
 #include "prof/frame_tracker.h"
 #include "prof/sampler.h"
@@ -224,6 +226,25 @@ TEST(Sampler, ExactProfilerUnperturbedWhenSharingReplay)
     EXPECT_EQ(exact.cct().totalEvents(), solo.cct().totalEvents());
     EXPECT_EQ(exact.cct().runJson("r"), solo.cct().runJson("r"));
     EXPECT_EQ(sampled.pipeline().cycles(), solo.pipeline().cycles());
+
+    // ...and perf, exact and sampled as passes on one shared model:
+    // each reports exactly what its solo composite reports.
+    obs::AttributedPipeline perfSolo(PipelineConfig{}, rec.methods);
+    rec.trace->replay(perfSolo);
+    obs::Attributed<PipelineSim> shared(rec.methods, PipelineConfig{});
+    const obs::PerfAttribution &perf = shared.add<obs::PerfAttribution>();
+    const prof::CctBuilder &cct = shared.add<prof::CctBuilder>();
+    prof::SampleOptions cycles;
+    cycles.cycleClock = true;
+    const prof::SamplingProfiler &sampler =
+        shared.add<prof::SamplingProfiler>(cycles);
+    rec.trace->replay(shared);
+
+    EXPECT_EQ(perf.runJson("r"), perfSolo.perf().runJson("r"));
+    EXPECT_EQ(cct.runJson("r"), solo.cct().runJson("r"));
+    EXPECT_EQ(sampler.runJson("r"), sampled.sampler().runJson("r"));
+    EXPECT_EQ(shared.model().cycles(), solo.pipeline().cycles());
+    EXPECT_EQ(sampler.clockTotal(), shared.model().cycles());
 }
 
 TEST(FrameTracker, MirrorsCallRetDiscipline)
@@ -389,7 +410,7 @@ TEST(Sampler, JsonRoundTripsThroughParser)
     prof::SamplePipeline sp(PipelineConfig{}, rec.methods);
     rec.trace->replay(sp);
 
-    prof::SampleReportSet reports;
+    obs::ReportSet reports(prof::kSampleSchema);
     reports.add("hello/jit", sp.sampler());
     const obs::JsonParser::Value doc =
         obs::JsonParser(reports.toJson(), "jrs-sample-v1").parse();
@@ -422,7 +443,7 @@ TEST(Sampler, ReportSetSortsAndReplacesAndPrefixesFolded)
     prof::SamplePipeline sp(PipelineConfig{}, rec.methods);
     rec.trace->replay(sp);
 
-    prof::SampleReportSet reports;
+    obs::ReportSet reports(prof::kSampleSchema);
     reports.add("b-run", sp.sampler());
     reports.add("a-run", sp.sampler());
     reports.add("a-run", sp.sampler());  // replace, not duplicate

@@ -441,7 +441,7 @@ TEST(Sweep, BlockReplayMatchesPerEventReplayForBatchedSinks)
                     PipelineConfig{}, run.methods);
             },
             [](const obs::AttributedPipeline &s) {
-                obs::PerfReportSet set;
+                obs::ReportSet set(obs::kPerfReportSchema);
                 set.add("run", s.perf());
                 return std::make_pair(pipelineStats(s.pipeline()),
                                       set.toJson());
@@ -453,7 +453,7 @@ TEST(Sweep, BlockReplayMatchesPerEventReplayForBatchedSinks)
                     PipelineConfig{}, run.methods);
             },
             [](const prof::CctPipeline &s) {
-                prof::CctReportSet set;
+                obs::ReportSet set(prof::kCctSchema);
                 set.add("run", s.cct());
                 return std::make_pair(pipelineStats(s.pipeline()),
                                       set.toJson());
@@ -465,7 +465,7 @@ TEST(Sweep, BlockReplayMatchesPerEventReplayForBatchedSinks)
                     PipelineConfig{}, run.methods);
             },
             [](const prof::SamplePipeline &s) {
-                prof::SampleReportSet set;
+                obs::ReportSet set(prof::kSampleSchema);
                 set.add("run", s.sampler());
                 return std::make_pair(pipelineStats(s.pipeline()),
                                       set.toJson());
