@@ -1,7 +1,9 @@
 /**
  * @file
- * Shared helpers for the bench binaries that regenerate the paper's
- * tables and figures.
+ * Shared helpers for the bench binaries that still run their own
+ * experiment: the figures that need more than the native stream, and
+ * the ablations that change the VM's configuration. The stream-only
+ * figures are grids in sweep/grids.h (`jrs_sweep <grid>`).
  */
 #ifndef JRS_BENCH_BENCH_UTIL_H
 #define JRS_BENCH_BENCH_UTIL_H
@@ -9,8 +11,8 @@
 #include <cstdint>
 #include <cstdlib>
 #include <iostream>
+#include <limits>
 #include <string>
-#include <thread>
 #include <utility>
 #include <vector>
 
@@ -24,67 +26,27 @@
 #include "prof/sampler.h"
 #include "support/statistics.h"
 #include "support/table.h"
+#include "sweep/grids.h"
 #include "sweep/observers.h"
 #include "vm/runtime/vm_error.h"
 
 namespace jrs::bench {
 
-/**
- * The SpecJVM98-like bench suite, in the paper's presentation order.
- *
- * @param include_hello When false (the default), the `hello` program
- *   is excluded: it is the system-init archetype — tiny methods run
- *   once — and carries no steady-state signal, so most figures skip
- *   it just as the paper reports SpecJVM98 programs only. Pass true
- *   for experiments where startup behaviour is the point (e.g. the
- *   Figure 8 line-size sweep, which shows hello's short methods
- *   preferring small lines).
- *
- * The two variants are built once and memoized in function-local
- * statics, whose initialization C++11 guarantees is thread-safe: the
- * first caller (on any thread) builds each vector exactly once, and
- * concurrent first calls — e.g. sweep workers constructing grids —
- * block until it is ready. Callers get a reference to a
- * process-lifetime vector, so the per-call vector rebuild (and the
- * dangling-reference hazard of binding a temporary) is gone.
- */
-inline const std::vector<const WorkloadInfo *> &
-suite(bool include_hello = false)
-{
-    const auto build = [](bool with_hello) {
-        std::vector<const WorkloadInfo *> out;
-        for (const WorkloadInfo &w : allWorkloads()) {
-            if (!with_hello && std::string(w.name) == "hello")
-                continue;
-            out.push_back(&w);
-        }
-        return out;
-    };
-    static const std::vector<const WorkloadInfo *> kWithHello =
-        build(true);
-    static const std::vector<const WorkloadInfo *> kWithoutHello =
-        build(false);
-    return include_hello ? kWithHello : kWithoutHello;
-}
+/** The suite in paper order; see sweep::suite. */
+using sweep::suite;
 
 /** Print a standard bench header. */
 inline void
 header(const char *experiment, const char *paper_note)
 {
-    std::cout << "==================================================="
-                 "===========================\n"
-              << experiment << '\n'
-              << "paper: " << paper_note << '\n'
-              << "==================================================="
-                 "===========================\n";
+    sweep::printHeader(std::cout, experiment, paper_note);
 }
 
-/** Command-line options shared by the sweep-engine bench ports. */
+/** Command-line options of the benches that run on the sweep engine. */
 struct SweepBenchArgs {
     unsigned jobs = 0;        ///< 0 = hardware concurrency
     std::string json;         ///< --json: write the SweepResult
     std::string cacheDir;     ///< --cache-dir: on-disk trace cache
-    std::string benchJson;    ///< --bench-json: throughput trajectory file
     obs::ObsCli obs;          ///< --metrics/trace/perf-json (obs/cli.h)
 };
 
@@ -103,58 +65,27 @@ parseSweepBenchArgs(int argc, char **argv)
             return argv[++i];
         };
         if (a == "--jobs") {
-            const std::string v = next();
-            char *end = nullptr;
-            out.jobs = static_cast<unsigned>(
-                std::strtoul(v.c_str(), &end, 10));
-            if (end == v.c_str() || *end != '\0') {
-                std::cerr << "error: --jobs expects a number\n";
+            std::uint64_t n = 0;
+            if (!obs::parseDecimal(next(), &n)
+                || n > std::numeric_limits<unsigned>::max()) {
+                std::cerr << "error: --jobs expects a decimal count\n";
                 std::exit(2);
             }
+            out.jobs = static_cast<unsigned>(n);
         } else if (a == "--json") {
             out.json = next();
         } else if (a == "--cache-dir") {
             out.cacheDir = next();
-        } else if (a == "--bench-json") {
-            out.benchJson = next();
         } else if (out.obs.tryParse(a, next)) {
             continue;
         } else {
             std::cerr << "usage: " << argv[0]
                       << " [--jobs N] [--json FILE] [--cache-dir DIR]"
-                         " [--bench-json FILE]"
                       << obs::ObsCli::usageText() << '\n';
             std::exit(2);
         }
     }
     return out;
-}
-
-/**
- * Parse a bench command line that takes only the observability output
- * flags (benches that run live, off the sweep engine); exits with
- * usage on anything else.
- */
-inline obs::ObsCli
-parseObsArgs(int argc, char **argv)
-{
-    obs::ObsCli cli;
-    for (int i = 1; i < argc; ++i) {
-        const std::string a = argv[i];
-        auto next = [&]() -> std::string {
-            if (i + 1 >= argc) {
-                std::cerr << "error: " << a << " needs a value\n";
-                std::exit(2);
-            }
-            return argv[++i];
-        };
-        if (!cli.tryParse(a, next)) {
-            std::cerr << "usage: " << argv[0]
-                      << obs::ObsCli::usageText() << '\n';
-            std::exit(2);
-        }
-    }
-    return cli;
 }
 
 /** Enable observability when an output file was requested. */
@@ -177,16 +108,6 @@ finishObs(const SweepBenchArgs &args,
     args.obs.finish(std::cout);
     if (reports != nullptr)
         reports->write(args.obs, std::cout);
-}
-
-/** Sum of per-point stream events across a finished sweep. */
-inline std::uint64_t
-sweepEvents(const sweep::SweepResult &result)
-{
-    std::uint64_t total = 0;
-    for (const sweep::PointResult &p : result.points)
-        total += p.traceEvents;
-    return total;
 }
 
 /** Build one jrs-bench-v1 run entry from a timed step. */
@@ -223,37 +144,6 @@ upsertBenchRuns(const std::string &path, const std::string &suite,
         std::cerr << "error: " << e.what() << '\n';
         std::exit(1);
     }
-}
-
-/**
- * --bench-json: run @p grid again on @p engine, warm — every stream is
- * now in the engine's in-process cache, so this times the pure
- * replay-many path — and record the @p cold and warm sweeps as
- * "<name>/sweep_cold" and "<name>/sweep_warm" jrs-bench-v1 entries of
- * the "sweep" suite. Both share the grid's event count, so their
- * events_per_sec ratio is the warm speedup.
- */
-inline void
-recordSweepRuns(const SweepBenchArgs &args, sweep::SweepEngine &engine,
-                const sweep::SweepResult &cold,
-                const std::vector<sweep::SweepPoint> &grid,
-                const std::string &name)
-{
-    const sweep::SweepResult warm = engine.run(grid);
-    std::cout << "\nsweep cold " << fixed(cold.wallSeconds, 2)
-              << "s | sweep warm " << fixed(warm.wallSeconds, 2)
-              << "s\n";
-    const std::uint64_t ev = sweepEvents(cold);
-    prof::BenchRun coldRun =
-        benchRun(name + "/sweep_cold", ev, cold.wallSeconds);
-    coldRun.metrics.emplace_back("jobs", static_cast<double>(cold.jobs));
-    coldRun.metrics.emplace_back(
-        "hw_threads",
-        static_cast<double>(std::thread::hardware_concurrency()));
-    upsertBenchRuns(
-        args.benchJson, "sweep",
-        {std::move(coldRun),
-         benchRun(name + "/sweep_warm", ev, warm.wallSeconds)});
 }
 
 } // namespace jrs::bench

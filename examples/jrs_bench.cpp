@@ -41,11 +41,13 @@
  */
 #include <cstdlib>
 #include <iostream>
+#include <limits>
 #include <string>
 #include <vector>
 
 #include "arch/pipeline/pipeline.h"
 #include "harness/experiment.h"
+#include "obs/cli.h"
 #include "obs/host_stats.h"
 #include "obs/perf.h"
 #include "prof/bench.h"
@@ -101,12 +103,11 @@ parseArgs(int argc, char **argv)
         } else if (a == "--tiny") {
             out.tiny = true;
         } else if (a == "--jobs") {
-            const std::string v = next();
-            char *end = nullptr;
-            out.jobs = static_cast<unsigned>(
-                std::strtoul(v.c_str(), &end, 10));
-            if (end == v.c_str() || *end != '\0')
-                usage("--jobs expects a number");
+            std::uint64_t n = 0;
+            if (!obs::parseDecimal(next(), &n)
+                || n > std::numeric_limits<unsigned>::max())
+                usage("--jobs expects a decimal count");
+            out.jobs = static_cast<unsigned>(n);
         } else if (a == "--json") {
             out.jsonPath = next();
         } else if (a == "--compare") {
@@ -206,11 +207,13 @@ suiteSweep(Bench &b)
     sweep::SweepOptions opts;
     opts.jobs = b.args.jobs;
     sweep::SweepEngine engine(opts);
+    const std::vector<sweep::SweepPoint> grid =
+        sweep::findGrid("fig07")->build();
     std::uint64_t events = 0;
     {
         obs::HostStats::Section s(b.host, "sweep/fig07/cold", &events);
         const sweep::SweepResult cold =
-            engine.run(sweep::buildFig07Grid());
+            engine.run(grid);
         if (!cold.allOk())
             throw VmError("sweep suite: cold fig07 run failed");
         events = sweepEvents(cold);
@@ -220,7 +223,7 @@ suiteSweep(Bench &b)
     {
         obs::HostStats::Section s(b.host, "sweep/fig07/warm", &events);
         const sweep::SweepResult warm =
-            engine.run(sweep::buildFig07Grid());
+            engine.run(grid);
         if (!warm.allOk())
             throw VmError("sweep suite: warm fig07 run failed");
         events = sweepEvents(warm);

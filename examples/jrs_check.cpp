@@ -37,6 +37,7 @@
  */
 #include <cstdlib>
 #include <iostream>
+#include <limits>
 
 #include "check/differential.h"
 #include "check/fuzz.h"
@@ -66,12 +67,13 @@ usage(const char *msg = nullptr)
     std::exit(2);
 }
 
+/** A decimal count no larger than @p max; usage error otherwise. */
 std::uint64_t
-parseU64(const std::string &v, const char *what)
+parseU64(const std::string &v, const char *what,
+         std::uint64_t max = std::numeric_limits<std::uint64_t>::max())
 {
-    char *end = nullptr;
-    const unsigned long long n = std::strtoull(v.c_str(), &end, 10);
-    if (end == v.c_str() || *end != '\0')
+    std::uint64_t n = 0;
+    if (!obs::parseDecimal(v, &n) || n > max)
         usage(what);
     return n;
 }
@@ -196,20 +198,24 @@ cmdFuzz(int argc, char **argv)
         };
         if (a == "--seeds") {
             opts.numSeeds = static_cast<std::uint32_t>(
-                parseU64(next(), "--seeds expects a number"));
+                parseU64(next(), "--seeds expects a number",
+                         std::numeric_limits<std::uint32_t>::max()));
             seeds_given = true;
         } else if (a == "--seed-base") {
             opts.seedBase =
                 parseU64(next(), "--seed-base expects a number");
         } else if (a == "--jobs") {
             opts.jobs = static_cast<unsigned>(
-                parseU64(next(), "--jobs expects a number"));
+                parseU64(next(), "--jobs expects a number",
+                         std::numeric_limits<unsigned>::max()));
         } else if (a == "--kernels") {
             opts.gen.numKernels = static_cast<std::uint32_t>(
-                parseU64(next(), "--kernels expects a number"));
+                parseU64(next(), "--kernels expects a number",
+                         std::numeric_limits<std::uint32_t>::max()));
         } else if (a == "--arg") {
             opts.arg = static_cast<std::int32_t>(
-                parseU64(next(), "--arg expects a number"));
+                parseU64(next(), "--arg expects a number",
+                         std::numeric_limits<std::int32_t>::max()));
         } else {
             usage("unknown fuzz option");
         }
@@ -242,7 +248,8 @@ cmdDiff(int argc, char **argv)
             all = true;
         } else if (a == "--arg") {
             arg = static_cast<std::int32_t>(
-                parseU64(next(), "--arg expects a number"));
+                parseU64(next(), "--arg expects a number",
+                         std::numeric_limits<std::int32_t>::max()));
         } else if (a == "--collector") {
             const std::string v = next();
             if (v == "all") {

@@ -1,16 +1,24 @@
 /**
  * @file
- * jrs_sweep — run a named experiment grid on the sweep engine.
+ * jrs_sweep — run a named experiment grid on the sweep engine and print
+ * its figure.
  *
  *   jrs_sweep <grid> [options]
  *   jrs_sweep --list
+ *
+ * Every paper figure and table whose inputs are the native stream alone
+ * is a grid (`--list` names them); `jrs_sweep paper` runs all of them
+ * from one recording per (workload, interp|jit). The output is the
+ * per-point table, the figure, and a `sweep:` line with the timing.
+ * Exits 1 when a point fails, when a figure's interp and jit runs end
+ * with different checksums, or when --compare-serial finds a mismatch.
  *
  *   --jobs N           worker threads (default: hardware concurrency)
  *   --json FILE        write the SweepResult as JSON
  *   --cache-dir DIR    on-disk trace cache; a second invocation with
  *                      the same DIR replays recorded streams instead
  *                      of re-running the VM
- *   --quiet            suppress the per-point table
+ *   --quiet            print only the figure, not the per-point table
  *   --progress         live progress line on stderr (points done,
  *                      recordings/hits/loads from the metric registry)
  *   --metrics-json F   write a jrs-metrics-v1 registry snapshot
@@ -19,8 +27,9 @@
  *   --perf-json F      write a jrs-perf-report-v1 attribution report:
  *                      every trace group's replay is also observed by
  *                      a perf-attribution pipeline (per-method CPI
- *                      stacks, miss/mispredict profiles), without
- *                      perturbing the sweep's own metrics
+ *                      stacks, miss/mispredict profiles), one run
+ *                      per recording labelled by its trace key,
+ *                      without perturbing the sweep's own metrics
  *   --sample-json F    write a jrs-sample-v1 sampled profile per trace
  *                      group (--sample-period/--sample-seed select the
  *                      sampling knobs), same no-perturbation guarantee
@@ -42,13 +51,14 @@
  *
  * Examples:
  *   jrs_sweep fig07 --jobs 8 --progress
- *   jrs_sweep all --cache-dir /tmp/jrs-traces --json sweep.json
+ *   jrs_sweep paper --jobs 4 --cache-dir /tmp/jrs-traces --json paper.json
  *   jrs_sweep fig04 --jobs 4 --trace-json fig04.trace.json
  *   jrs_sweep fig09 --perf-json fig09.perf.json
  *   jrs_sweep code_cache --jobs 8 --shared-code-cache --compare-serial
  */
 #include <cstdlib>
 #include <iostream>
+#include <limits>
 
 #include "obs/cli.h"
 #include "obs/obs.h"
@@ -112,12 +122,11 @@ main(int argc, char **argv)
             return argv[++i];
         };
         if (a == "--jobs") {
-            const std::string v = next();
-            char *end = nullptr;
-            opts.jobs = static_cast<unsigned>(
-                std::strtoul(v.c_str(), &end, 10));
-            if (end == v.c_str() || *end != '\0')
-                usage("--jobs expects a number");
+            std::uint64_t n = 0;
+            if (!obs::parseDecimal(next(), &n)
+                || n > std::numeric_limits<unsigned>::max())
+                usage("--jobs expects a decimal count");
+            opts.jobs = static_cast<unsigned>(n);
         } else if (a == "--json") {
             jsonPath = next();
         } else if (a == "--cache-dir") {
@@ -187,7 +196,16 @@ main(int argc, char **argv)
 
     if (!quiet)
         result.toTable().print(std::cout);
-    std::cout << grid->name << ": " << result.points.size()
+    bool summaryOk = result.allOk();
+    if (summaryOk) {
+        summaryOk = grid->summarise(result, std::cout);
+    } else {
+        for (const sweep::PointResult &p : result.points) {
+            if (!p.ok)
+                std::cerr << p.label << ": " << p.error << '\n';
+        }
+    }
+    std::cout << "sweep: " << grid->name << ", " << result.points.size()
               << " points in " << fixed(result.wallSeconds, 2)
               << "s on " << result.jobs << " jobs ("
               << result.traces.recordings << " recordings, "
@@ -252,11 +270,9 @@ main(int argc, char **argv)
                               + " points MISMATCHED")
                   << '\n';
     }
-    if (!jsonPath.empty()) {
+    if (!jsonPath.empty())
         result.writeJson(jsonPath);
-        std::cout << "wrote " << jsonPath << '\n';
-    }
     cli.finish(std::cout);
     reports.write(cli, std::cout);
-    return result.allOk() && comparisonOk ? 0 : 1;
+    return summaryOk && comparisonOk ? 0 : 1;
 }

@@ -1,18 +1,29 @@
 /**
  * @file
- * Named sweep grids for the paper's multi-configuration experiments.
+ * Named sweep grids: every stream-only figure and table of the paper,
+ * plus the GC and code-cache ablations.
  *
- * One definition of each grid is shared by the bench binaries that
- * print the figures, the `jrs_sweep` CLI, and the tests — the figure
- * layout stays in the bench, the measurement matrix lives here.
+ * A NamedGrid owns one figure end to end: its measurement matrix
+ * (`build`) and its printed table (`summarise`, which reads nothing
+ * but the finished SweepResult). `jrs_sweep <name>` runs one;
+ * `jrs_sweep paper` runs every paper figure as one grid over the 16
+ * suite (workload, interp|jit) recordings, with one point per distinct
+ * model configuration on a stream: Table 3, Figure 4 and Figure 5
+ * share one pair of 64K caches, Figure 7's direct-mapped cache is
+ * Figure 8's 32-byte one, and Figure 9 is a view of Figure 10's
+ * issue-width pipelines.
  *
- * Grids deliberately reuse streams: "fig07" needs only one recording
- * per (workload, mode) for its four associativities, and "all" shares
- * the same 16 recordings across every cache/BTB experiment.
+ * The points of the tables that compare modes, and every point of the
+ * paper grid, also carry the recording's exit value: a table whose
+ * workload ends with different interp and jit checksums is refused
+ * (see NamedGrid::summarise). Run alone, the fig04, fig07, fig08 and
+ * btb grids report only their pinned metrics and skip the check.
  */
 #ifndef JRS_SWEEP_GRIDS_H
 #define JRS_SWEEP_GRIDS_H
 
+#include <functional>
+#include <ostream>
 #include <string>
 #include <vector>
 
@@ -20,68 +31,20 @@
 
 namespace jrs::sweep {
 
-/** Figure 7 associativities (8K caches, 32B lines). */
-inline constexpr std::uint32_t kFig07Assocs[] = {1, 2, 4, 8};
-
-/** Figure 8 line sizes (8K direct-mapped). */
-inline constexpr std::uint32_t kFig08Lines[] = {16, 32, 64, 128};
-
-/** BTB-capacity ablation sizes. */
-inline constexpr std::size_t kBtbSizes[] = {64, 256, 1024, 4096};
-
-/** GC-grid heap capacities (the budget is heap/1024, sized so the
-    suite's allocation volumes actually cross it: smaller heaps
-    collect more often — the classic heap-size/pause trade). */
-inline constexpr std::size_t kGcHeapBytes[] = {1u << 20, 4u << 20,
-                                               16u << 20};
-
-/** GC-grid collectors (the two real strategies; nogc is the
-    reference every digest test already covers). */
-inline constexpr gc::CollectorKind kGcGridCollectors[] = {
-    gc::CollectorKind::MarkSweep, gc::CollectorKind::Copying};
-
-/** Code-cache-grid capacities, sized against the suite's generated
-    code (~4.7–8.8 KiB per workload under compile-everything): 2 KiB
-    forces sustained eviction pressure everywhere, 4 KiB moderate
-    pressure, and 8 KiB pressures only the code-heavy workloads — the
-    retranslation-overhead curve's knee. */
-inline constexpr std::size_t kCodeCacheCapacities[] = {
-    2u << 10, 4u << 10, 8u << 10};
-
-/** Code-cache-grid eviction policies (all four). */
-inline constexpr EvictionPolicy kCodeCachePolicies[] = {
-    EvictionPolicy::kFifo, EvictionPolicy::kLru, EvictionPolicy::kCost,
-    EvictionPolicy::kCostPerByte};
-
-/** OSR back-edge threshold for the code-cache grid's tiered points
-    (counter policy + OSR + bounded cache: evicted loop-dominated
-    methods recover through on-stack replacement). */
-inline constexpr std::uint64_t kCodeCacheOsrThreshold = 32;
-
-/** "interp" / "jit" — the mode component used in grid labels. */
-inline const char *
-modeLabel(bool jit)
-{
-    return jit ? "jit" : "interp";
-}
-
-/** Name of a BTB-sweep metric, e.g. "btb256_miss_pct". */
-std::string btbMetricName(std::size_t entries);
-
 /**
- * Point labels, so aggregating drivers can look results up without
- * re-deriving string formats: "fig07/compress/jit/assoc4" etc.
+ * The SpecJVM98-like suite in the paper's presentation order. `hello`
+ * is the system-init archetype (tiny methods run once) and carries no
+ * steady-state signal, so most figures leave it out, as the paper
+ * reports SpecJVM98 programs only; figures about startup behaviour
+ * (Figure 8's short methods preferring small lines) keep it. Built
+ * once per process; safe to call from any thread.
  */
-std::string fig04Label(const std::string &workload, bool jit);
-std::string fig07Label(const std::string &workload, bool jit,
-                       std::uint32_t assoc);
-std::string fig08Label(const std::string &workload, bool jit,
-                       std::uint32_t lineBytes);
-std::string btbLabel(const std::string &workload, bool jit);
-/** "gc/compress/marksweep/h8m" etc. */
-std::string gcLabel(const std::string &workload,
-                    gc::CollectorKind collector,
-                    std::size_t heapBytes);
+const std::vector<const WorkloadInfo *> &suite(bool includeHello = false);
+
+/** Print the banner that opens every figure's table. */
+void printHeader(std::ostream &out, const char *experiment,
+                 const char *paperNote);
+
 /** "code_cache/compress/lru/cc8k"; capacity 0 =>
     "code_cache/compress/unlimited" (the no-eviction baseline).
     Best-fit allocation appends "/best", an OSR threshold appends
@@ -93,11 +56,6 @@ std::string codeCacheLabel(
     AllocStrategy strategy = AllocStrategy::kFirstFit,
     std::uint64_t osrThreshold = 0);
 
-/** Grid builders. Cache points emit icache/dcache_miss_pct metrics. */
-std::vector<SweepPoint> buildFig04Grid();
-std::vector<SweepPoint> buildFig07Grid();
-std::vector<SweepPoint> buildFig08Grid();
-std::vector<SweepPoint> buildBtbGrid();
 /**
  * Heap-size × collector grid: every point records its own stream
  * (collector traffic is part of the stream identity) and reports
@@ -118,19 +76,25 @@ std::vector<SweepPoint> buildGcGrid();
  * identically to live ones.
  */
 std::vector<SweepPoint> buildCodeCacheGrid();
-/** Concatenation of the four cache/BTB grids (streams shared across
-    experiments; the gc grid records distinct streams and stays
-    separate). */
-std::vector<SweepPoint> buildAllGrid();
 
 /** A registered grid. */
 struct NamedGrid {
     const char *name;
     const char *description;
-    std::vector<SweepPoint> (*build)();
+    /** The grid's points. */
+    std::function<std::vector<SweepPoint>()> build;
+    /**
+     * Print the figure from a sweep of build()'s points, all of which
+     * succeeded. Returns false, naming the workload on stderr and
+     * printing nothing, when a workload's interp and jit recordings
+     * end with different exit values (an interp/JIT checksum
+     * divergence).
+     */
+    bool (*summarise)(const SweepResult &result, std::ostream &out);
 };
 
-/** Every named grid (fig04, fig07, fig08, btb, all). */
+/** Every named grid: the paper figures in paper order, "paper", "gc"
+    and "code_cache". */
 const std::vector<NamedGrid> &allGrids();
 
 /** Lookup by name; nullptr when unknown. */

@@ -7,6 +7,9 @@
 #include <gtest/gtest.h>
 
 #include <filesystem>
+#include <functional>
+#include <set>
+#include <sstream>
 #include <stdexcept>
 
 #include "arch/bpred/predictors.h"
@@ -17,6 +20,7 @@
 #include "obs/perf.h"
 #include "prof/cct.h"
 #include "prof/sampler.h"
+#include "sweep/grids.h"
 #include "sweep/sweep.h"
 #include "vm/runtime/vm_error.h"
 
@@ -496,6 +500,81 @@ TEST(Sweep, MalformedGridThrows)
     grid[0].key = tinyKey("compress", ExecMode::interp());
     SweepEngine engine;
     EXPECT_THROW(engine.run(grid), VmError);
+}
+
+/**
+ * A finished sweep of @p grid's points, every one ok, carrying only an
+ * exit value, @p exitOf(label): enough for a summariser to run its
+ * checksum check.
+ */
+SweepResult
+fabricated(const NamedGrid &grid,
+           const std::function<double(const std::string &)> &exitOf)
+{
+    SweepResult r;
+    for (const SweepPoint &p : grid.build()) {
+        PointResult point;
+        point.label = p.label;
+        point.traceKey = p.key.str();
+        point.ok = true;
+        point.metrics.push_back({"exit_value", exitOf(p.label)});
+        r.points.push_back(std::move(point));
+    }
+    return r;
+}
+
+TEST(PaperGrids, ChecksumDivergenceFailsTheFigure)
+{
+    for (const char *name : {"tab02", "paper"}) {
+        const NamedGrid *grid = findGrid(name);
+        ASSERT_NE(grid, nullptr) << name;
+        std::ostringstream agreeing;
+        EXPECT_TRUE(grid->summarise(
+            fabricated(*grid, [](const std::string &) { return 7.0; }),
+            agreeing))
+            << name;
+        EXPECT_NE(agreeing.str().find("Table 2"), std::string::npos)
+            << name;
+
+        // db's jit run ends with a different checksum than its interp
+        // run: every table that compares the modes is refused.
+        std::ostringstream diverging;
+        ::testing::internal::CaptureStderr();
+        const bool ok = grid->summarise(
+            fabricated(*grid,
+                       [db = std::string(name) + "/db/jit"](
+                           const std::string &label) {
+                           return label.rfind(db, 0) == 0 ? 8.0 : 7.0;
+                       }),
+            diverging);
+        const std::string err = ::testing::internal::GetCapturedStderr();
+        EXPECT_FALSE(ok) << name;
+        EXPECT_NE(err.find("db: interp/JIT checksum divergence"),
+                  std::string::npos)
+            << name << ": " << err;
+        EXPECT_EQ(diverging.str().find("Table 2"), std::string::npos)
+            << name;
+    }
+}
+
+TEST(PaperGrids, PaperSharesOneRecordingPerStream)
+{
+    // Every paper figure's points, and the paper grid that merges
+    // them: 16 streams, one point per model on each, unique labels.
+    std::size_t figurePoints = 0;
+    for (const NamedGrid &g : allGrids()) {
+        if (std::string(g.name) == "paper")
+            break;
+        figurePoints += g.build().size();
+    }
+    const std::vector<SweepPoint> paper = findGrid("paper")->build();
+    std::set<std::string> keys, labels;
+    for (const SweepPoint &p : paper) {
+        keys.insert(p.key.str());
+        EXPECT_TRUE(labels.insert(p.label).second) << p.label;
+    }
+    EXPECT_EQ(keys.size(), 2 * suite(true).size());
+    EXPECT_LT(paper.size(), figurePoints);
 }
 
 } // namespace
